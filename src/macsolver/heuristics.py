@@ -9,6 +9,7 @@ here too.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -428,6 +429,35 @@ def _probe_value(problem, d, x, a, scheme, policy, hstate, stats):
     return out.consistent, p_before, p_after
 
 
+def _probe_scan(candidates, problem, d, scheme, policy, hstate, stats, score):
+    """Probe every live value of each candidate once with _probe_value.
+
+    Values that wipe out are pruned from the real domain; returns None when a
+    candidate's domain empties (the caller must fail the node). Otherwise the
+    candidate with the smallest summed score(x, a, p_before, p_after) wins,
+    first-listed on ties.
+    """
+    best = None
+    best_total = None
+    for x in candidates:
+        wiped = []
+        total = 0
+        for a in d.current(x):
+            ok, p_before, p_after = _probe_value(
+                problem, d, x, a, scheme, policy, hstate, stats
+            )
+            total += score(x, a, p_before, p_after)
+            if not ok:
+                wiped.append(a)
+        for a in wiped:
+            d.remove(x, a)
+        if d.size(x) == 0:
+            return None
+        if best_total is None or total < best_total:
+            best, best_total = x, total
+    return best
+
+
 def node_impact_tiebreak(
     candidates: list[str],
     problem: Problem,
@@ -440,33 +470,21 @@ def node_impact_tiebreak(
 ) -> str | None:
     """Break ties with exact impacts measured at this node.
 
-    Every candidate value is probed; values that wipe out are pruned from the
-    real domain. Returns None when a candidate's domain empties (the caller
-    must fail the node). The candidate with the smallest summed residual
-    (1 - impact) wins, first-listed on ties.
+    Every candidate value is probed and its impact recorded in the store;
+    values that wipe out are pruned from the real domain (None on an emptied
+    candidate). The candidate with the smallest summed residual (1 - impact)
+    wins, first-listed on ties.
     """
-    best = None
-    best_total = None
-    for x in candidates:
-        wiped = []
-        total = 0.0
-        for a in d.current(x):
-            ok, p_before, p_after = _probe_value(
-                problem, d, x, a, scheme, policy, hstate, stats
-            )
-            impact = 1.0 - (p_after / p_before) if p_before > 0 else 1.0
-            if store is not None:
-                store.observe(x, a, impact)
-            if not ok:
-                wiped.append(a)
-            total += 1.0 - impact
-        for a in wiped:
-            d.remove(x, a)
-        if d.size(x) == 0:
-            return None
-        if best_total is None or total < best_total:
-            best, best_total = x, total
-    return best
+
+    def residual(x, a, p_before, p_after):
+        impact = 1.0 - (p_after / p_before) if p_before > 0 else 1.0
+        if store is not None:
+            store.observe(x, a, impact)
+        return 1.0 - impact
+
+    return _probe_scan(
+        candidates, problem, d, scheme, policy, hstate, stats, residual
+    )
 
 
 def rsc_tiebreak(
@@ -484,32 +502,13 @@ def rsc_tiebreak(
     values are pruned from the real domain (None on an emptied candidate).
     The candidate with the largest total reduction wins, first-listed on ties.
     """
-    best = None
-    best_total = None
-    for x in candidates:
-        wiped = []
-        total = 0
-        for a in d.current(x):
-            ok, p_before, p_after = _probe_value(
-                problem, d, x, a, scheme, policy, hstate, stats
-            )
-            total += p_before - p_after
-            if not ok:
-                wiped.append(a)
-        for a in wiped:
-            d.remove(x, a)
-        if d.size(x) == 0:
-            return None
-        if best_total is None or total > best_total:
-            best, best_total = x, total
-    return best
+    return _probe_scan(
+        candidates, problem, d, scheme, policy, hstate, stats,
+        lambda x, a, p_before, p_after: p_after - p_before,
+    )
 
 
 # --- random probing ---------------------------------------------------------
-
-
-class _ProbeCutoff(Exception):
-    pass
 
 
 def random_probe(
@@ -525,85 +524,46 @@ def random_probe(
 ) -> tuple[WeightStore, tuple[str, dict | None] | None]:
     """Run short randomized probes to warm up the conflict weights.
 
-    Each probe is a depth-first d-way search with uniformly random variable
-    selection and value order, aborted once cfg.failures wipeouts have been
-    seen. Weights accumulate across probes under the active update policy.
-    Returns the store plus a definitive ("sat", assignment) or ("unsat", None)
-    result when a probe happens to settle the instance, else None.
+    Each probe is a run of the d-way search loop with uniformly random
+    variable selection and value order, cut off once cfg.failures wipeouts
+    have been seen. Weights accumulate across probes under the active update
+    policy. Returns the store plus a definitive ("sat", assignment) or
+    ("unsat", None) result when a probe happens to settle the instance, else
+    None.
     """
+    from .search import CUTOFF, LEAF, dway_search  # search imports this module
+
     rng = random.Random(cfg.seed)
-    assignment: dict[str, int] = {}
-    failures = 0
+    if deadline is None:
+        deadline = math.inf
+    solution: dict[str, int] = {}
 
-    def saw_wipeout() -> None:
-        nonlocal failures
-        failures += 1
-        if failures >= cfg.failures:
-            raise _ProbeCutoff
+    def choose() -> str:
+        return rng.choice([x for x in problem.variables if x not in hstate.assigned])
 
-    def dfs() -> bool:
-        if deadline is not None and time.monotonic() >= deadline:
-            raise TimeoutError
-        unassigned = [x for x in problem.variables if x not in hstate.assigned]
-        if not unassigned:
-            return True
-        x = rng.choice(unassigned)
+    def values(x: str) -> list[int]:
         order = sorted(d.current(x))
         rng.shuffle(order)
-        for a in order:
-            if not d.contains(x, a):
-                continue
-            stats.nodes += 1
-            root = d.mark()
-            removed = d.assign(x, a)
-            hstate.assigned.add(x)
-            assignment[x] = a
-            out = propagate(
-                problem, d, scheme, policy,
-                update_queue(problem, scheme, x, removed),
-                hstate, stats,
-            )
-            if out.consistent:
-                if dfs():
-                    return True
-                hstate.assigned.discard(x)
-                del assignment[x]
-                d.restore(root)
-            else:
-                hstate.assigned.discard(x)
-                del assignment[x]
-                d.restore(root)
-                saw_wipeout()
-            d.remove(x, a)
-            if d.size(x) == 0:
-                return False
-            out = propagate(
-                problem, d, scheme, policy,
-                update_queue(problem, scheme, x, 1),
-                hstate, stats,
-            )
-            if not out.consistent:
-                saw_wipeout()
-                return False
-        return False
+        return order
 
-    definitive = None
+    def leaf(assignment: dict[str, int]) -> bool:
+        solution.update(assignment)
+        return True
+
+    def failed() -> bool:
+        return stats.dwos - dwos_at_start >= cfg.failures
+
     for _ in range(cfg.runs):
-        probe_root = d.mark()
-        saved_assigned = set(hstate.assigned)
-        failures = 0
-        try:
-            if dfs():
-                definitive = ("sat", dict(assignment))
-            elif definitive is None:
-                # the probe exhausted the tree without hitting its cutoff
-                definitive = ("unsat", None)
-        except _ProbeCutoff:
-            pass
-        assignment.clear()
-        hstate.assigned.clear()
-        hstate.assigned.update(saved_assigned)
-        d.restore(probe_root)
-        if definitive is not None:
-            break
-    return weights, definitive
+        if time.monotonic() >= deadline:
+            raise TimeoutError
+        dwos_at_start = stats.dwos
+        result = dway_search(
+            problem, d, scheme, policy, hstate, stats, deadline,
+            choose, values, leaf, failed,
+        )
+        if result == LEAF:
+            return weights, ("sat", solution)
+        # a wipeout refuting the root's last value gets no failed() call
+        if result != CUTOFF and not failed():
+            return weights, ("unsat", None)
+    return weights, None

@@ -61,9 +61,6 @@ class ArithmeticRestarts:
             raise ValueError("arithmetic restarts need base >= 1 and step >= 1")
 
 
-RestartPolicy = "GeometricRestarts | ArithmeticRestarts | None"
-
-
 def next_cutoff(policy, run_index: int) -> int | None:
     """Failed-attempt budget for run number run_index (None = unlimited)."""
     if policy is None:
@@ -149,8 +146,92 @@ def order_values(x: str, d, mode: str, seed: int, index: int = 0) -> list[int]:
     return values
 
 
-class _CutoffReached(Exception):
-    pass
+LEAF, EXHAUSTED, CUTOFF = "leaf", "exhausted", "cutoff"
+
+
+def dway_search(
+    problem, d, scheme, policy, hstate, stats, deadline,
+    choose, values, leaf, failed, impacts=None,
+) -> str:
+    """Depth-first d-way MAC search from the current state of d, without recursion.
+
+    A node assigns the values of choose()'s variable in the order values(x)
+    gives, propagating after each; choose() returning None fails the node.
+    Once every variable is assigned, leaf(assignment) says whether to stop.
+    After each value whose subtree failed, failed() says whether to cut the
+    run off; otherwise the value is refuted (removed and propagated) and the
+    next one is tried. With an impact store every assignment records its
+    observed impact.
+
+    Returns LEAF, EXHAUSTED or CUTOFF, and leaves d and hstate.assigned as it
+    found them. Raises TimeoutError when a node would start past the deadline.
+    """
+    root = d.mark()
+    assignment: dict[str, int] = {}
+    stack: list[list] = []  # per open node: [x, untried values, value, mark]
+    descend = True  # the root, or the last assignment, propagated consistently
+    try:
+        while True:
+            if descend:
+                x = None
+                if len(hstate.assigned) < len(problem.variables):
+                    x = choose()
+                elif leaf(assignment):
+                    return LEAF
+                if x is not None:
+                    stack.append([x, iter(values(x)), None, None])
+                descend = x is not None
+            if not descend:
+                # the subtree under the top node's value failed
+                if not stack:
+                    return EXHAUSTED
+                x, _, a, node = stack[-1]
+                hstate.assigned.discard(x)
+                del assignment[x]
+                d.restore(node)
+                if failed():
+                    return CUTOFF
+                d.remove(x, a)
+                if d.size(x) == 0 or not propagate(
+                    problem, d, scheme, policy,
+                    update_queue(problem, scheme, x, 1),
+                    hstate, stats,
+                ).consistent:
+                    stack.pop()
+                    continue
+            frame = stack[-1]
+            x = frame[0]
+            a = next((v for v in frame[1] if d.contains(x, v)), None)
+            if a is None:
+                stack.pop()
+                descend = False
+                continue
+            if time.monotonic() >= deadline:
+                raise TimeoutError
+            stats.nodes += 1
+            frame[2:] = a, d.mark()
+            removed = d.assign(x, a)
+            hstate.assigned.add(x)
+            assignment[x] = a
+            if impacts is not None:
+                p_before = space_product(problem, d, hstate.assigned)
+            out = propagate(
+                problem, d, scheme, policy,
+                update_queue(problem, scheme, x, removed),
+                hstate, stats,
+            )
+            if impacts is not None:
+                p_after = (
+                    space_product(problem, d, hstate.assigned)
+                    if out.consistent
+                    else 0
+                )
+                observe_impact(impacts, x, a, p_before, p_after)
+            descend = out.consistent
+    finally:
+        for frame in stack:
+            hstate.assigned.discard(frame[0])
+        d.restore(root)
 
 
 def _verify(problem: model.Problem, assignment: dict[str, int], stats) -> bool:
@@ -179,10 +260,8 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
     )
     hstate = HeuristicState(problem, weights, impacts)
     d = model.DomainStore(problem)
-    assignment: dict[str, int] = {}
     solution: dict[str, int] | None = None
     count = 0
-    track_impacts = heur.base == "impact"
 
     def finish(result: str) -> SearchOutcome:
         stats.time_ms = (time.monotonic() - t0) * 1000.0
@@ -217,106 +296,54 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
             return finish("timeout")
         if definitive is not None:
             verdict, probe_solution = definitive
-            if verdict == "sat":
-                if not _verify(problem, probe_solution, stats):
-                    raise RuntimeError("probe produced an invalid solution")
-                solution = probe_solution
-                if cfg.mode != "count":
-                    return finish("sat")
-                # fall through: count mode still needs the full tree
-                solution = None
-            else:
+            if verdict == "unsat":
                 return finish("unsat")
+            if not _verify(problem, probe_solution, stats):
+                raise RuntimeError("probe produced an invalid solution")
+            # count mode still needs the full tree
+            if cfg.mode != "count":
+                solution = probe_solution
+                return finish("sat")
 
-    root = d.mark()
-    budget_left: list[int | None] = [None]
-
-    def on_failed_attempt() -> None:
-        left = budget_left[0]
-        if left is None:
-            return
-        left -= 1
-        budget_left[0] = left
-        if left < 0:
-            raise _CutoffReached
-
-    def dfs() -> bool:
-        nonlocal solution, count
-        if len(assignment) == len(problem.variables):
-            if not _verify(problem, assignment, stats):
-                raise RuntimeError("search produced an invalid solution")
-            if cfg.mode == "count":
-                count += 1
-                return False
-            solution = dict(assignment)
-            return True
-        x = select_variable(
+    def choose() -> str | None:
+        return select_variable(
             heur, problem, d, hstate, stats, cfg.scheme, cfg.policy
         )
-        if x is None:
-            # a tie-break probe emptied a candidate's domain
+
+    def values(x: str) -> list[int]:
+        return order_values(x, d, cfg.value_order, cfg.seed, problem.var_index[x])
+
+    def leaf(assignment: dict[str, int]) -> bool:
+        nonlocal solution, count
+        if not _verify(problem, assignment, stats):
+            raise RuntimeError("search produced an invalid solution")
+        if cfg.mode == "count":
+            count += 1
             return False
-        order = order_values(x, d, cfg.value_order, cfg.seed, problem.var_index[x])
-        for a in order:
-            if not d.contains(x, a):
-                continue
-            if time.monotonic() >= deadline:
-                raise TimeoutError
-            stats.nodes += 1
-            node = d.mark()
-            removed = d.assign(x, a)
-            hstate.assigned.add(x)
-            assignment[x] = a
-            p_before = (
-                space_product(problem, d, hstate.assigned) if track_impacts else 0
-            )
-            out = propagate(
-                problem, d, cfg.scheme, cfg.policy,
-                update_queue(problem, cfg.scheme, x, removed),
-                hstate, stats,
-            )
-            if track_impacts:
-                p_after = (
-                    space_product(problem, d, hstate.assigned)
-                    if out.consistent
-                    else 0
-                )
-                observe_impact(impacts, x, a, p_before, p_after)
-            found = out.consistent and dfs()
-            hstate.assigned.discard(x)
-            del assignment[x]
-            d.restore(node)
-            if found:
-                return True
-            on_failed_attempt()
-            d.remove(x, a)
-            if d.size(x) == 0:
-                return False
-            out = propagate(
-                problem, d, cfg.scheme, cfg.policy,
-                update_queue(problem, cfg.scheme, x, 1),
-                hstate, stats,
-            )
-            if not out.consistent:
-                return False
-        return False
+        solution = dict(assignment)
+        return True
+
+    def failed() -> bool:
+        nonlocal left
+        left -= 1
+        return left < 0
 
     use_restarts = cfg.mode != "count"
     run_index = 0
     while True:
-        budget_left[0] = next_cutoff(cfg.restarts, run_index) if use_restarts else None
+        cutoff = next_cutoff(cfg.restarts, run_index) if use_restarts else None
+        left = math.inf if cutoff is None else cutoff
         try:
-            found = dfs()
+            result = dway_search(
+                problem, d, cfg.scheme, cfg.policy, hstate, stats, deadline,
+                choose, values, leaf, failed, impacts if heur.base == "impact" else None,
+            )
         except TimeoutError:
             return finish("timeout")
-        except _CutoffReached:
-            d.restore(root)
-            assignment.clear()
-            hstate.assigned.clear()
-            stats.restarts += 1
-            run_index += 1
-            continue
-        d.restore(root)
-        if cfg.mode == "count":
-            return finish("sat" if count > 0 else "unsat")
-        return finish("sat" if found else "unsat")
+        if result != CUTOFF:
+            break
+        stats.restarts += 1
+        run_index += 1
+    if cfg.mode == "count":
+        return finish("sat" if count > 0 else "unsat")
+    return finish("sat" if result == LEAF else "unsat")

@@ -6,6 +6,7 @@ from macsolver.cli import main
 from macsolver.harness import read_csv
 from macsolver.instances import gen_langford
 from macsolver.model import dump_problem
+from test_search import ne_chain
 
 
 def run(capsys, *argv):
@@ -82,6 +83,15 @@ def test_domain_errors_exit_three(capsys):
     assert code == 3
     code, _, err = run(capsys, "solve", "queens:n=6", "--rev", "a_wdeg")
     assert code == 3  # policy does not fit the variable scheme
+
+
+def test_deep_chain_solves_exit_zero(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(dump_problem(ne_chain(1200)))
+    for var in ("dom", "dom/wdeg+probe"):
+        code, out, _ = run(capsys, "solve", str(path), "--var", var)
+        assert code == 0
+        assert "result: sat" in out
 
 
 def test_bench_writes_csv(tmp_path, capsys):

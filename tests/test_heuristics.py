@@ -26,7 +26,7 @@ from macsolver.heuristics import (
     variable_impact,
     weight_policy_for,
 )
-from macsolver.instances import gen_model_d, gen_queens
+from macsolver.instances import gen_langford, gen_model_d, gen_queens
 from macsolver.model import Constraint, DomainStore, Problem
 
 
@@ -459,6 +459,32 @@ def test_random_probe_deterministic():
         results.append((out_ws.snapshot(), definitive, s.tuple()))
     assert results[0] == results[1]
     assert results[0][2][0] > 0  # probe attempts count as nodes
+
+
+def test_random_probe_pinned_counters():
+    # exact counters: the benchmark never runs random probing
+    p = gen_queens(6)
+    d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
+    _, definitive = random_probe(p, d, cfg, ws, hstate, "variable", "fifo", s)
+    assert definitive == ("sat", {"q0": 3, "q1": 0, "q2": 4, "q3": 1, "q4": 5, "q5": 2})
+    assert {c: w for c, w in ws.snapshot().items() if w > 1} == {"c3": 2}
+    assert s.tuple() == (7, 461, 18, 1)
+
+
+def test_random_probe_pinned_cutoffs():
+    # every run of an unsat instance ends at the failure cutoff
+    p = gen_langford(2, 5)
+    d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
+    _, definitive = random_probe(p, d, cfg, ws, hstate, "variable", "fifo", s)
+    assert definitive is None
+    assert {c: w for c, w in ws.snapshot().items() if w > 1} == {
+        "c2": 2, "c3": 2, "c6": 3, "c7": 2, "c12": 2, "c16": 2, "c18": 2,
+        "c27": 3, "c33": 2, "c36": 2, "c40": 3, "c43": 2, "c45": 3, "c46": 3,
+        "c47": 3, "c48": 4,
+    }
+    assert s.tuple() == (31, 12784, 287, 24)
+    assert all(d.size(x) == len(p.domains[x]) for x in p.variables)
+    assert hstate.assigned == set()
 
 
 def test_random_probe_restores_state():

@@ -315,3 +315,49 @@ def test_decide_mode_all_schemes():
     for scheme, policy in (("arc", "fifo"), ("variable", "dom"), ("constraint", "c_wcon")):
         out = solve(p, SearchConfig(scheme=scheme, policy=policy, mode="decide"))
         assert out.result == want
+
+
+# Exact counters of search paths the benchmark does not run: a change to any
+# of them is an algorithm change.
+def test_pinned_counters_impact_nodeimpact_count():
+    h = VOHeuristic(base="impact", tiebreak="nodeimpact")
+    cfg = SearchConfig(heuristic=h, scheme="constraint", policy="c_wcon", mode="count")
+    out = solve(gen_queens(6), cfg)
+    s = out.stats
+    assert (out.result, out.count) == ("sat", 4)
+    assert (s.nodes, s.checks, s.revisions, s.dwos, s.restarts) == (54, 16317, 3293, 30, 0)
+
+
+def test_pinned_counters_restarts_rand_decide():
+    cfg = SearchConfig(
+        heuristic=VOHeuristic(base="dom"), scheme="arc", policy="fifo",
+        restarts=GeometricRestarts(3, 1.5), value_order="rand", seed=0, mode="decide",
+    )
+    out = solve(gen_langford(2, 5), cfg)
+    s = out.stats
+    assert out.result == "unsat"
+    assert (s.nodes, s.checks, s.revisions, s.dwos, s.restarts) == (161, 40279, 12538, 83, 7)
+
+
+def ne_chain(n):
+    variables = tuple(f"x{i}" for i in range(n))
+    return Problem(
+        name=f"ne-chain-{n}",
+        variables=variables,
+        domains={x: (0, 1) for x in variables},
+        constraints=tuple(
+            pred(f"c{i}", (variables[i], variables[i + 1]), "ne") for i in range(n - 1)
+        ),
+    )
+
+
+@pytest.mark.parametrize(
+    "heuristic",
+    [VOHeuristic(base="dom"), VOHeuristic(base="dom/wdeg", probing=ProbeConfig(seed=0))],
+)
+def test_deep_chain_has_no_depth_limit(heuristic):
+    p = ne_chain(1200)
+    out = solve(p, SearchConfig(heuristic=heuristic, mode="decide"))
+    assert out.result == "sat"
+    assert out.stats.nodes == 1200
+    assert_valid(p, out.solution)
