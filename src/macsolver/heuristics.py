@@ -239,10 +239,12 @@ def _mdvo_score(h: VOHeuristic, x: str, problem: Problem, d: DomainStore) -> flo
         return d.size(y) / len(problem.neighborhood[y])
 
     ax = alpha(x)
+    # gamma is a set of strings, so its order follows the hash seed: fsum is
+    # exact and therefore independent of the order
     if h.mdvo_op == "+":
-        total = sum(ax + alpha(y) for y in gamma)
+        total = math.fsum(ax + alpha(y) for y in gamma)
     else:
-        total = sum(ax * alpha(y) for y in gamma)
+        total = math.fsum(ax * alpha(y) for y in gamma)
     return total / (len(gamma) ** 2)
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -220,6 +223,30 @@ def test_mdvo_score():
     )
     h = VOHeuristic(base="mdvo")
     assert score_variable(h, "s", q, DomainStore(q), fresh_state(q)) == 2.0
+
+
+MDVO_RUN = """
+from macsolver.heuristics import VOHeuristic
+from macsolver.instances import gen_queens
+from macsolver.search import SearchConfig, solve
+cfg = SearchConfig(heuristic=VOHeuristic(base="mdvo"), scheme="arc", policy="fifo")
+s = solve(gen_queens(6), cfg).stats
+print(s.nodes, s.checks, s.revisions, s.dwos)
+"""
+
+
+def test_mdvo_counters_do_not_depend_on_hash_seed():
+    # neighborhoods are sets of strings, iterated in hash-seed order
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    outputs = set()
+    for hash_seed in ("1", "3", "4"):  # three different counters before fsum
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", MDVO_RUN], env=env, capture_output=True,
+            text=True, check=True, timeout=120,
+        )
+        outputs.add(run.stdout)
+    assert len(outputs) == 1
 
 
 def test_select_variable_lexico_tie():
