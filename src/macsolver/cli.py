@@ -2,7 +2,8 @@
 
 Subcommands: solve one instance, run a benchmark sweep from a JSON spec,
 report node-count variance from a results CSV. Exit codes from solve:
-0 satisfiable, 1 unsatisfiable, 2 timeout, 3 errors.
+0 satisfiable, 1 unsatisfiable, 2 timeout, 3 any error, internal ones
+included.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import traceback
 
 from .harness import (
     ExperimentSpec,
@@ -22,9 +24,6 @@ from .harness import (
 )
 from .heuristics import parse_heuristic
 from .search import SearchConfig, parse_restarts, solve
-
-_MODES = {"first": "first", "count": "count", "decide": "decide"}
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage, which would collide with the
@@ -47,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--values", default="lex", choices=("lex", "rand"))
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--timeout", type=float, default=3600.0, help="seconds")
-    ps.add_argument("--mode", default="first", choices=tuple(_MODES))
+    ps.add_argument("--mode", default="first", choices=("first", "count", "decide"))
 
     pb = sub.add_parser("bench", help="run a benchmark sweep")
     pb.add_argument("spec", help="experiment spec JSON file")
@@ -69,7 +68,7 @@ def _cmd_solve(args) -> int:
         restarts=parse_restarts(args.restart),
         value_order=args.values,
         seed=args.seed,
-        mode=_MODES[args.mode],
+        mode=args.mode,
         timeout=args.timeout,
     )
     outcome = solve(problem, cfg)
@@ -120,6 +119,10 @@ def main(argv=None) -> int:
         return _cmd_report(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 3
+    except Exception as err:  # a crash must never read as an answer (exit 1)
+        traceback.print_exc()
+        print(f"error: internal {type(err).__name__}: {err}", file=sys.stderr)
         return 3
 
 

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import instances, model
-from .heuristics import heuristic_name, parse_heuristic
+from .heuristics import parse_heuristic
 from .propagation import POLICIES_BY_SCHEME
-from .search import SearchConfig, parse_restarts, restarts_name, solve
+from .search import SearchConfig, parse_restarts, solve
 
 log = logging.getLogger(__name__)
 

@@ -19,36 +19,7 @@ def gen_model_d(n: int, d: int, e: int, t: float, seed: int) -> Problem:
     without replacement; each of the d*d value pairs is forbidden
     independently with probability t.
     """
-    if n < 2 or d < 1:
-        raise ValueError("need n >= 2 and d >= 1")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("tightness t must be in [0, 1]")
-    max_pairs = n * (n - 1) // 2
-    if not 0 <= e <= max_pairs:
-        raise ValueError(f"e must be in [0, {max_pairs}] for n={n}")
-    rng = random.Random(seed)
-    variables = tuple(f"x{i}" for i in range(n))
-    domains = {x: tuple(range(d)) for x in variables}
-    pairs = rng.sample(list(combinations(range(n), 2)), e)
-    constraints = []
-    for idx, (i, j) in enumerate(pairs):
-        forbidden = frozenset(
-            (a, b) for a in range(d) for b in range(d) if rng.random() < t
-        )
-        constraints.append(
-            Constraint(
-                id=f"c{idx}",
-                scope=(variables[i], variables[j]),
-                kind="forbidden",
-                tuples=forbidden,
-            )
-        )
-    return Problem(
-        name=f"modelD-{n}-{d}-{e}-{t}-{seed}",
-        variables=variables,
-        domains=domains,
-        constraints=tuple(constraints),
-    )
+    return _random_binary(n, d, e, t, seed, planted=False)
 
 
 def gen_model_rb(n: int, d: int, e: int, t: float, seed: int) -> Problem:
@@ -57,6 +28,10 @@ def gen_model_rb(n: int, d: int, e: int, t: float, seed: int) -> Problem:
     A full assignment is planted first; tuples consistent with it are never
     forbidden, so the planted assignment survives in every instance.
     """
+    return _random_binary(n, d, e, t, seed, planted=True)
+
+
+def _random_binary(n: int, d: int, e: int, t: float, seed: int, planted: bool) -> Problem:
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
     if not 0.0 <= t <= 1.0:
@@ -67,11 +42,12 @@ def gen_model_rb(n: int, d: int, e: int, t: float, seed: int) -> Problem:
     rng = random.Random(seed)
     variables = tuple(f"x{i}" for i in range(n))
     domains = {x: tuple(range(d)) for x in variables}
-    planted = [rng.randrange(d) for _ in range(n)]
+    # the planted values come first from the generator, before the pairs
+    values = [rng.randrange(d) for _ in range(n)] if planted else None
     pairs = rng.sample(list(combinations(range(n), 2)), e)
     constraints = []
     for idx, (i, j) in enumerate(pairs):
-        keep = (planted[i], planted[j])
+        keep = (values[i], values[j]) if planted else None
         forbidden = frozenset(
             (a, b)
             for a in range(d)
@@ -87,7 +63,7 @@ def gen_model_rb(n: int, d: int, e: int, t: float, seed: int) -> Problem:
             )
         )
     return Problem(
-        name=f"modelRB-{n}-{d}-{e}-{t}-{seed}",
+        name=f"{'modelRB' if planted else 'modelD'}-{n}-{d}-{e}-{t}-{seed}",
         variables=variables,
         domains=domains,
         constraints=tuple(constraints),

@@ -306,6 +306,7 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
                 return finish("sat")
 
     def choose() -> str | None:
+        # None when a tie-break probe emptied a candidate's domain
         return select_variable(
             heur, problem, d, hstate, stats, cfg.scheme, cfg.policy
         )

@@ -94,6 +94,19 @@ def test_deep_chain_solves_exit_zero(tmp_path, capsys):
         assert "result: sat" in out
 
 
+def test_internal_errors_exit_three(capsys, monkeypatch):
+    def broken(problem, cfg):
+        raise RuntimeError("search produced an invalid solution")
+
+    monkeypatch.setattr("macsolver.cli.solve", broken)
+    code, out, err = run(capsys, "solve", "queens:n=6")
+    assert code == 3
+    assert "result:" not in out
+    assert "Traceback" in err
+    last = err.rstrip().splitlines()[-1]
+    assert last == "error: internal RuntimeError: search produced an invalid solution"
+
+
 def test_bench_writes_csv(tmp_path, capsys):
     spec = {
         "instances": ["queens:n=4", "langford:k=2,n=3"],
