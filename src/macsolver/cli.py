@@ -23,7 +23,9 @@ from .harness import (
     write_csv,
 )
 from .heuristics import parse_heuristic
+from .propagation import SCHEMES
 from .search import SearchConfig, parse_restarts, solve
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage, which would collide with the
@@ -40,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve one instance")
     ps.add_argument("instance", help="instance file or generator spec (e.g. queens:n=8)")
     ps.add_argument("--var", default="dom/wdeg", help="variable heuristic")
-    ps.add_argument("--scheme", default="variable", choices=("arc", "variable", "constraint"))
+    ps.add_argument("--scheme", default="variable", choices=SCHEMES)
     ps.add_argument("--rev", default="fifo", help="revision ordering policy")
     ps.add_argument("--restart", default="none", help="geo:B:F, arith:B:S, or none")
     ps.add_argument("--values", default="lex", choices=("lex", "rand"))

@@ -7,7 +7,7 @@ import io
 import json
 import logging
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import instances, model
@@ -17,21 +17,35 @@ from .search import SearchConfig, parse_restarts, solve
 
 log = logging.getLogger(__name__)
 
-COLUMNS = (
-    "instance",
-    "scheme",
-    "var_heur",
-    "rev_heur",
-    "restart",
-    "value_order",
-    "seed",
-    "result",
-    "time_ms",
-    "nodes",
-    "checks",
-    "revisions",
-    "dwos",
-)
+
+def _num(text: str) -> int | float:
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+# CSV column -> the parser of its text, in column order
+_PARSERS = {
+    "instance": str,
+    "scheme": str,
+    "var_heur": str,
+    "rev_heur": str,
+    "restart": str,
+    "value_order": str,
+    "seed": lambda text: text if text == "avg" else int(text),
+    "result": str,
+    "time_ms": float,
+    "nodes": _num,
+    "checks": _num,
+    "revisions": _num,
+    "dwos": _num,
+}
+
+COLUMNS = tuple(_PARSERS)
+
+# the columns a run's SearchStats fills in; a seed group's row averages them
+_MEASURED = ("time_ms", "nodes", "checks", "revisions", "dwos")
 
 # revision policies whose node counts feed the ordering-dependence report
 DEPENDENCY_POLICIES = ("fifo", "dom", "v_dom/wdeg")
@@ -153,11 +167,10 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
                                     value_order=value_order,
                                     seed=seed,
                                     result=outcome.result,
-                                    time_ms=outcome.stats.time_ms,
-                                    nodes=outcome.stats.nodes,
-                                    checks=outcome.stats.checks,
-                                    revisions=outcome.stats.revisions,
-                                    dwos=outcome.stats.dwos,
+                                    **{
+                                        col: getattr(outcome.stats, col)
+                                        for col in _MEASURED
+                                    },
                                 )
                                 group.append(row)
                             rows.extend(group)
@@ -169,21 +182,14 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
 def _averaged(group: list[ResultRow]) -> ResultRow:
     """Arithmetic mean of a per-seed group, reported with seed='avg'."""
     results = {r.result for r in group}
-    mean = lambda attr: sum(getattr(r, attr) for r in group) / len(group)
-    return ResultRow(
-        instance=group[0].instance,
-        scheme=group[0].scheme,
-        var_heur=group[0].var_heur,
-        rev_heur=group[0].rev_heur,
-        restart=group[0].restart,
-        value_order=group[0].value_order,
+    return replace(
+        group[0],
         seed="avg",
         result=results.pop() if len(results) == 1 else "mixed",
-        time_ms=mean("time_ms"),
-        nodes=mean("nodes"),
-        checks=mean("checks"),
-        revisions=mean("revisions"),
-        dwos=mean("dwos"),
+        **{
+            col: sum(getattr(r, col) for r in group) / len(group)
+            for col in _MEASURED
+        },
     )
 
 
@@ -205,13 +211,6 @@ def _write_csv(rows: list[ResultRow], fh) -> None:
         writer.writerow(row.to_list())
 
 
-def _num(text: str) -> int | float:
-    try:
-        return int(text)
-    except ValueError:
-        return float(text)
-
-
 def read_csv(path: str | Path) -> list[ResultRow]:
     """Parse rows back from a CSV file produced by write_csv."""
     return read_csv_text(Path(path).read_text())
@@ -223,29 +222,11 @@ def read_csv_text(text: str) -> list[ResultRow]:
     header = next(reader)
     if tuple(header) != COLUMNS:
         raise ValueError(f"unexpected CSV header {header}")
-    rows = []
-    for rec in reader:
-        if not rec:
-            continue
-        data = dict(zip(COLUMNS, rec))
-        rows.append(
-            ResultRow(
-                instance=data["instance"],
-                scheme=data["scheme"],
-                var_heur=data["var_heur"],
-                rev_heur=data["rev_heur"],
-                restart=data["restart"],
-                value_order=data["value_order"],
-                seed=data["seed"] if data["seed"] == "avg" else int(data["seed"]),
-                result=data["result"],
-                time_ms=float(data["time_ms"]),
-                nodes=_num(data["nodes"]),
-                checks=_num(data["checks"]),
-                revisions=_num(data["revisions"]),
-                dwos=_num(data["dwos"]),
-            )
-        )
-    return rows
+    return [
+        ResultRow(**{col: _PARSERS[col](text) for col, text in zip(COLUMNS, rec)})
+        for rec in reader
+        if rec
+    ]
 
 
 def format_table(rows: list[ResultRow]) -> str:

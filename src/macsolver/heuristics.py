@@ -15,21 +15,39 @@ import time
 from dataclasses import dataclass
 
 from .model import DomainStore, Problem
-from .propagation import propagate, update_queue
+from .propagation import dom_ratio, propagate, update_queue
 
-BASES = (
-    "dom",
-    "deg",
-    "ddeg",
-    "dom+deg",
-    "dom/ddeg",
-    "mdvo",
-    "wdeg",
-    "dom/wdeg",
-    "alldel",
-    "fully",
-    "impact",
-)
+
+def _wdeg_score(w: int, dom: int):
+    return -w if w > 0 else float(dom)
+
+
+def _dom_over_wdeg(h, problem, d, hstate):
+    return lambda x: dom_ratio(d.size(x), hstate.wdeg(x))
+
+
+def _impact_key(h, problem, d, hstate):
+    if hstate.impacts is None:
+        raise ValueError("impact heuristic used without an impact store")
+    return lambda x: variable_impact(hstate.impacts, x, d)
+
+
+# base -> score builder. A builder takes (h, problem, d, hstate) and returns
+# the score of one unassigned variable; smaller is preferred.
+SCORE_BUILDERS = {
+    "dom": lambda h, p, d, hs: d.size,
+    "deg": lambda h, p, d, hs: lambda x: -len(p.neighborhood[x]),
+    "ddeg": lambda h, p, d, hs: lambda x: -hs.ddeg(x),
+    "dom+deg": lambda h, p, d, hs: lambda x: (d.size(x), -len(p.neighborhood[x])),
+    "dom/ddeg": lambda h, p, d, hs: lambda x: dom_ratio(d.size(x), hs.ddeg(x)),
+    "mdvo": lambda h, p, d, hs: lambda x: _mdvo_score(h, x, p, d),
+    "wdeg": lambda h, p, d, hs: lambda x: _wdeg_score(hs.wdeg(x), d.size(x)),
+    "dom/wdeg": _dom_over_wdeg,
+    "alldel": _dom_over_wdeg,
+    "fully": _dom_over_wdeg,
+    "impact": _impact_key,
+}
+BASES = tuple(SCORE_BUILDERS)
 CONFLICT_BASES = ("wdeg", "dom/wdeg", "alldel", "fully")
 TIEBREAKS = ("lexico", "rsc", "nodeimpact")
 WEIGHT_POLICIES = ("wdeg", "alldel", "fully")
@@ -199,32 +217,7 @@ def score_variable(h: VOHeuristic, x: str, problem: Problem, d: DomainStore, hst
     Ratio heuristics fall back to plain |D(x)| when the denominator has no
     qualifying constraint (division guard).
     """
-    dom = d.size(x)
-    base = h.base
-    if base == "dom":
-        return dom
-    if base == "deg":
-        return -len(problem.neighborhood[x])
-    if base == "ddeg":
-        return -hstate.ddeg(x)
-    if base == "dom+deg":
-        return (dom, -len(problem.neighborhood[x]))
-    if base == "dom/ddeg":
-        dd = hstate.ddeg(x)
-        return dom / dd if dd > 0 else float(dom)
-    if base == "mdvo":
-        return _mdvo_score(h, x, problem, d)
-    if base == "wdeg":
-        w = hstate.wdeg(x)
-        return -w if w > 0 else float(dom)
-    if base in ("dom/wdeg", "alldel", "fully"):
-        w = hstate.wdeg(x)
-        return dom / w if w > 0 else float(dom)
-    if base == "impact":
-        if hstate.impacts is None:
-            raise ValueError("impact heuristic used without an impact store")
-        return variable_impact(hstate.impacts, x, d)
-    raise ValueError(f"unknown heuristic base {base!r}")
+    return SCORE_BUILDERS[h.base](h, problem, d, hstate)(x)
 
 
 def _mdvo_score(h: VOHeuristic, x: str, problem: Problem, d: DomainStore) -> float:
@@ -256,32 +249,33 @@ def select_variable(
     stats=None,
     scheme: str = "variable",
     policy: str = "fifo",
+    deadline: float = math.inf,
 ) -> str | None:
     """Pick the next unassigned variable, or None when a tie-break probe wipes out.
 
     The candidate set is the argmin of the base score; ties go to the
     configured tie-break (declaration order for "lexico"). Probing tie-breaks
-    only run when more than one candidate is tied.
+    only run when more than one candidate is tied, and raise TimeoutError
+    when a probe would start past the deadline.
     """
-    best_score = None
-    candidates: list[str] = []
-    for x in problem.variables:
-        if x in hstate.assigned:
-            continue
-        s = score_variable(h, x, problem, d, hstate)
-        if best_score is None or s < best_score:
-            best_score = s
-            candidates = [x]
-        elif s == best_score:
-            candidates.append(x)
-    if not candidates:
+    free = [x for x in problem.variables if x not in hstate.assigned]
+    if not free:
         raise ValueError("no unassigned variable to select")
-    if len(candidates) == 1 or h.tiebreak == "lexico":
+    score = SCORE_BUILDERS[h.base](h, problem, d, hstate)
+    if h.tiebreak == "lexico":
+        return min(free, key=score)
+    scores = [score(x) for x in free]
+    low = min(scores)
+    candidates = [x for x, s in zip(free, scores) if s == low]
+    if len(candidates) == 1:
         return candidates[0]
     if h.tiebreak == "rsc":
-        return rsc_tiebreak(candidates, problem, d, scheme, policy, hstate, stats)
+        return rsc_tiebreak(
+            candidates, problem, d, scheme, policy, hstate, stats, deadline
+        )
     return node_impact_tiebreak(
-        candidates, problem, d, hstate.impacts, scheme, policy, hstate, stats
+        candidates, problem, d, hstate.impacts, scheme, policy, hstate, stats,
+        deadline,
     )
 
 
@@ -366,16 +360,20 @@ def init_impacts(
     hstate: HeuristicState,
     stats,
     max_parts: int = 4,
+    deadline: float = math.inf,
 ) -> bool:
     """Initialize impacts by probing contiguous sub-domains of every variable.
 
     Each part is propagated in isolation and restored; a part that wipes out
     records impact 1 for its values. Returns False when every part of some
-    variable wipes out (the problem is inconsistent).
+    variable wipes out (the problem is inconsistent). Raises TimeoutError
+    when a part would start past the deadline.
     """
     for x in problem.variables:
         live_parts = 0
         for part in partition_parts(sorted(d.current(x)), max_parts):
+            if time.monotonic() >= deadline:
+                raise TimeoutError
             root = d.mark()
             removed = 0
             for v in d.current(x):
@@ -431,13 +429,14 @@ def _probe_value(problem, d, x, a, scheme, policy, hstate, stats):
     return out.consistent, p_before, p_after
 
 
-def _probe_scan(candidates, problem, d, scheme, policy, hstate, stats, score):
+def _probe_scan(candidates, problem, d, scheme, policy, hstate, stats, score, deadline):
     """Probe every live value of each candidate once with _probe_value.
 
     Values that wipe out are pruned from the real domain; returns None when a
     candidate's domain empties (the caller must fail the node). Otherwise the
     candidate with the smallest summed score(x, a, p_before, p_after) wins,
-    first-listed on ties.
+    first-listed on ties. Raises TimeoutError when a probe would start past
+    the deadline.
     """
     best = None
     best_total = None
@@ -445,6 +444,8 @@ def _probe_scan(candidates, problem, d, scheme, policy, hstate, stats, score):
         wiped = []
         total = 0
         for a in d.current(x):
+            if time.monotonic() >= deadline:
+                raise TimeoutError
             ok, p_before, p_after = _probe_value(
                 problem, d, x, a, scheme, policy, hstate, stats
             )
@@ -469,6 +470,7 @@ def node_impact_tiebreak(
     policy: str,
     hstate: HeuristicState,
     stats,
+    deadline: float = math.inf,
 ) -> str | None:
     """Break ties with exact impacts measured at this node.
 
@@ -485,7 +487,7 @@ def node_impact_tiebreak(
         return 1.0 - impact
 
     return _probe_scan(
-        candidates, problem, d, scheme, policy, hstate, stats, residual
+        candidates, problem, d, scheme, policy, hstate, stats, residual, deadline
     )
 
 
@@ -497,6 +499,7 @@ def rsc_tiebreak(
     policy: str,
     hstate: HeuristicState,
     stats,
+    deadline: float = math.inf,
 ) -> str | None:
     """Break ties by total search-space reduction over one singleton pass.
 
@@ -507,6 +510,7 @@ def rsc_tiebreak(
     return _probe_scan(
         candidates, problem, d, scheme, policy, hstate, stats,
         lambda x, a, p_before, p_after: p_after - p_before,
+        deadline,
     )
 
 

@@ -140,6 +140,18 @@ def neighbors(problem: Problem, x: str) -> frozenset[str]:
         raise InstanceError(f"unknown variable {x}") from None
 
 
+@dataclass
+class SearchStats:
+    """Run counters: n nodes, c checks, r queue selections, DWOs, restarts."""
+
+    nodes: int = 0
+    checks: int = 0
+    revisions: int = 0
+    dwos: int = 0
+    restarts: int = 0
+    time_ms: float = 0.0
+
+
 def check_tuple(constraint: Constraint, values: tuple[int, ...], stats) -> bool:
     """Test one value tuple against a constraint, counting exactly one check."""
     if len(values) != len(constraint.scope):

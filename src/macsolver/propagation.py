@@ -11,34 +11,68 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Constraint, DomainStore, Problem, seek_support
+from .model import Constraint, DomainStore, Problem, SearchStats, seek_support
 
-SCHEMES = ("arc", "variable", "constraint")
 
-ARC_POLICIES = (
-    "fifo",
-    "dom",
-    "a_wcon",
-    "a_wdeg",
-    "a_dom/wdeg",
-    "a_dom/wcon",
-    "a_dom/wdeg_inverse",
-    "a_dom/wcon_inverse",
-)
-VARIABLE_POLICIES = ("fifo", "dom", "v_wdeg", "v_dom/wdeg")
-CONSTRAINT_POLICIES = ("c_wcon",)
+def dom_ratio(dom_size: int, weight: int) -> float:
+    """|D| / weight, or plain |D| when the weight is not positive."""
+    return dom_size / weight if weight > 0 else float(dom_size)
 
+
+def _inverse(problem: Problem, d: DomainStore, arc: tuple[str, str], weight_of) -> float:
+    # scores the arc by the other scope variables, not by the revised one
+    cid, x = arc
+    return min(
+        dom_ratio(d.size(y), weight_of(y)) for y in problem.by_id[cid].scope if y != x
+    )
+
+
+# scheme -> policy -> score builder. A builder takes (problem, d, weights,
+# wdeg), where weights.get(cid) is a constraint weight and wdeg(x) a weighted
+# degree, and returns the key under which select_next revises the pending
+# element with the smallest score first, first inserted on ties. None is fifo.
+# Under the variable scheme, a policy named v_* is weight-driven: it also
+# revises each selected variable's constraints heaviest first.
+SCORE_BUILDERS = {
+    "arc": {
+        "fifo": None,
+        "dom": lambda p, d, w, wdeg: lambda arc: d.size(arc[1]),
+        "a_wcon": lambda p, d, w, wdeg: lambda arc: -w.get(arc[0]),
+        "a_wdeg": lambda p, d, w, wdeg: lambda arc: -wdeg(arc[1]),
+        "a_dom/wdeg": lambda p, d, w, wdeg: (
+            lambda arc: dom_ratio(d.size(arc[1]), wdeg(arc[1]))
+        ),
+        "a_dom/wcon": lambda p, d, w, wdeg: (
+            lambda arc: dom_ratio(d.size(arc[1]), w.get(arc[0]))
+        ),
+        "a_dom/wdeg_inverse": lambda p, d, w, wdeg: (
+            lambda arc: _inverse(p, d, arc, wdeg)
+        ),
+        "a_dom/wcon_inverse": lambda p, d, w, wdeg: (
+            lambda arc: _inverse(p, d, arc, lambda y: w.get(arc[0]))
+        ),
+    },
+    "variable": {
+        "fifo": None,
+        "dom": lambda p, d, w, wdeg: d.size,
+        "v_wdeg": lambda p, d, w, wdeg: lambda x: -wdeg(x),
+        "v_dom/wdeg": lambda p, d, w, wdeg: lambda x: dom_ratio(d.size(x), wdeg(x)),
+    },
+    "constraint": {
+        "c_wcon": lambda p, d, w, wdeg: lambda cid: -w.get(cid),
+    },
+}
+
+SCHEMES = tuple(SCORE_BUILDERS)
 POLICIES_BY_SCHEME = {
-    "arc": ARC_POLICIES,
-    "variable": VARIABLE_POLICIES,
-    "constraint": CONSTRAINT_POLICIES,
+    scheme: tuple(policies) for scheme, policies in SCORE_BUILDERS.items()
 }
 
 
 def validate_policy(scheme: str, policy: str) -> None:
-    if scheme not in SCHEMES:
+    if scheme not in SCORE_BUILDERS:
         raise ValueError(f"unknown propagation scheme {scheme!r}")
-    if policy not in POLICIES_BY_SCHEME[scheme]:
+    if policy not in SCORE_BUILDERS[scheme]:
         raise ValueError(f"revision policy {policy!r} does not fit scheme {scheme!r}")
 
 
@@ -162,93 +196,20 @@ def revise(problem: Problem, d: DomainStore, c: Constraint, x: str, stats) -> in
     return removed
 
 
-class _UnitWeights:
-    def get(self, cid: str) -> int:
-        return 1
-
-    def on_deletion(self, cid: str, removed: int) -> None:
-        pass
-
-    def on_dwo(self, cid: str, fruitful) -> None:
-        pass
-
-
-class _DefaultState:
-    """Stand-in heuristic context: unit weights, nothing assigned."""
-
-    def __init__(self, problem: Problem):
-        self.problem = problem
-        self.weights = _UnitWeights()
-        self.assigned: set[str] = set()
-
-    def wdeg(self, x: str) -> int:
-        return sum(
-            1
-            for c in self.problem.constraints_on[x]
-            if any(y != x for y in c.scope)
-        )
-
-
-def _ratio(dom_size: int, weight: int) -> float:
-    return dom_size / weight if weight > 0 else float(dom_size)
-
-
 def select_next(problem: Problem, q: RevisionQueue, policy: str, d: DomainStore, weights, wdeg):
     """Pop the next element to revise under `policy` (FIFO tie-break).
 
     `weights` supplies per-constraint weights via .get(cid); `wdeg` is a
-    callable giving a variable's weighted degree. Scores are scanned lazily
-    over the pending set in insertion order.
+    callable giving a variable's weighted degree. The policy's score is
+    looked up once; min() keeps the first-inserted of equal scores.
     """
-    pending = q._pending
-    if policy == "fifo":
-        elem = next(iter(pending))
-        q.take(elem)
-        return elem
-    best = None
-    best_score = None
-    if q.kind == "variable":
-        if policy == "dom":
-            score_of = d.size
-        elif policy == "v_wdeg":
-            score_of = lambda x: -wdeg(x)
-        else:  # v_dom/wdeg
-            score_of = lambda x: _ratio(d.size(x), wdeg(x))
-        for x in pending:
-            s = score_of(x)
-            if best_score is None or s < best_score:
-                best, best_score = x, s
-    elif q.kind == "constraint":
-        # c_wcon: heaviest constraint first
-        for cid in pending:
-            s = -weights.get(cid)
-            if best_score is None or s < best_score:
-                best, best_score = cid, s
+    build = SCORE_BUILDERS[q.kind][policy]
+    if build is None:
+        elem = next(iter(q._pending))
     else:
-        for cid, x in pending:
-            if policy == "dom":
-                s = d.size(x)
-            elif policy == "a_wcon":
-                s = -weights.get(cid)
-            elif policy == "a_wdeg":
-                s = -wdeg(x)
-            elif policy == "a_dom/wdeg":
-                s = _ratio(d.size(x), wdeg(x))
-            elif policy == "a_dom/wcon":
-                s = _ratio(d.size(x), weights.get(cid))
-            elif policy == "a_dom/wdeg_inverse":
-                others = [y for y in problem.by_id[cid].scope if y != x]
-                s = min(_ratio(d.size(y), wdeg(y)) for y in others)
-            elif policy == "a_dom/wcon_inverse":
-                w = weights.get(cid)
-                others = [y for y in problem.by_id[cid].scope if y != x]
-                s = min(_ratio(d.size(y), w) for y in others)
-            else:
-                raise ValueError(f"unknown revision policy {policy!r}")
-            if best_score is None or s < best_score:
-                best, best_score = (cid, x), s
-    q.take(best)
-    return best
+        elem = min(q._pending, key=build(problem, d, weights, wdeg))
+    q.take(elem)
+    return elem
 
 
 def propagate(
@@ -272,9 +233,11 @@ def propagate(
     if queue.kind != scheme:
         raise ValueError(f"queue kind {queue.kind!r} does not match scheme {scheme!r}")
     if hstate is None:
-        hstate = _DefaultState(problem)
+        from .heuristics import HeuristicState, WeightStore  # heuristics imports this module
+
+        hstate = HeuristicState(problem, WeightStore(problem))
     if stats is None:
-        stats = _NullStats()
+        stats = SearchStats()
     weights = hstate.weights
     wdeg = hstate.wdeg
     fruitful: set[str] = set()
@@ -319,7 +282,7 @@ def propagate(
                         if z != x:
                             queue.add((c2.id, z))
     elif scheme == "variable":
-        weight_ordered = policy in ("v_wdeg", "v_dom/wdeg")
+        weight_ordered = policy.startswith("v_")
         while queue:
             stats.revisions += 1
             x = select_next(problem, queue, policy, d, weights, wdeg)
@@ -364,8 +327,3 @@ def propagate(
         consistent=True, removed=total_removed, fruitful=frozenset(fruitful)
     )
 
-
-class _NullStats:
-    checks = 0
-    revisions = 0
-    dwos = 0

@@ -14,6 +14,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import model
+from .model import SearchStats
 from .heuristics import (
     HeuristicState,
     ImpactStore,
@@ -27,18 +28,6 @@ from .heuristics import (
     weight_policy_for,
 )
 from .propagation import initial_queue, propagate, update_queue, validate_policy
-
-
-@dataclass
-class SearchStats:
-    """Run counters: n nodes, c checks, r queue selections, DWOs, restarts."""
-
-    nodes: int = 0
-    checks: int = 0
-    revisions: int = 0
-    dwos: int = 0
-    restarts: int = 0
-    time_ms: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -280,35 +269,35 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
     if not out.consistent:
         return finish("unsat")
 
-    if heur.base == "impact":
-        if not init_impacts(
-            problem, d, impacts, cfg.scheme, cfg.policy, hstate, stats
+    definitive = None
+    try:
+        if heur.base == "impact" and not init_impacts(
+            problem, d, impacts, cfg.scheme, cfg.policy, hstate, stats,
+            deadline=deadline,
         ):
             return finish("unsat")
-
-    if heur.probing is not None:
-        try:
+        if heur.probing is not None:
             _, definitive = random_probe(
                 problem, d, heur.probing, weights, hstate,
                 cfg.scheme, cfg.policy, stats, deadline,
             )
-        except TimeoutError:
-            return finish("timeout")
-        if definitive is not None:
-            verdict, probe_solution = definitive
-            if verdict == "unsat":
-                return finish("unsat")
-            if not _verify(problem, probe_solution, stats):
-                raise RuntimeError("probe produced an invalid solution")
-            # count mode still needs the full tree
-            if cfg.mode != "count":
-                solution = probe_solution
-                return finish("sat")
+    except TimeoutError:
+        return finish("timeout")
+    if definitive is not None:
+        verdict, probe_solution = definitive
+        if verdict == "unsat":
+            return finish("unsat")
+        if not _verify(problem, probe_solution, stats):
+            raise RuntimeError("probe produced an invalid solution")
+        # count mode still needs the full tree
+        if cfg.mode != "count":
+            solution = probe_solution
+            return finish("sat")
 
     def choose() -> str | None:
         # None when a tie-break probe emptied a candidate's domain
         return select_variable(
-            heur, problem, d, hstate, stats, cfg.scheme, cfg.policy
+            heur, problem, d, hstate, stats, cfg.scheme, cfg.policy, deadline
         )
 
     def values(x: str) -> list[int]:

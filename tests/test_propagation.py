@@ -3,7 +3,7 @@ import pytest
 from oracle import ac_fixpoint
 from macsolver.heuristics import HeuristicState, WeightStore
 from macsolver.instances import gen_model_d
-from macsolver.model import Constraint, DomainStore, Problem
+from macsolver.model import Constraint, DomainStore, Problem, SearchStats
 from macsolver.propagation import (
     POLICIES_BY_SCHEME,
     RevisionQueue,
@@ -332,6 +332,57 @@ def test_select_next_constraint_policy():
     q.add("c1")
     q.add("c2")
     assert select_next(p, q, "c_wcon", d, w, lambda x: 1) == "c2"
+
+
+def tied_problem():
+    # a triangle of equal domains: every element of every queue scores alike
+    return Problem(
+        name="tied",
+        variables=("a", "b", "e"),
+        domains={"a": (0, 1), "b": (0, 1), "e": (0, 1)},
+        constraints=(
+            pred("c1", ("a", "b"), "ne"),
+            pred("c2", ("b", "e"), "ne"),
+            pred("c3", ("a", "e"), "ne"),
+        ),
+    )
+
+
+TIED_ORDER = {
+    "arc": [("c3", "e"), ("c1", "a"), ("c2", "b")],
+    "variable": ["e", "a", "b"],
+    "constraint": ["c3", "c1", "c2"],
+}
+
+
+@pytest.mark.parametrize("scheme,policy", ALL_COMBOS)
+def test_select_next_ties_go_to_first_inserted(scheme, policy):
+    p = tied_problem()
+    d = DomainStore(p)
+    w = DictWeights({"c1": 3, "c2": 3, "c3": 3})
+    q = RevisionQueue(scheme)
+    for elem in TIED_ORDER[scheme]:
+        q.add(elem)
+    assert select_next(p, q, policy, d, w, lambda x: 6) == TIED_ORDER[scheme][0]
+    assert select_next(p, q, policy, d, w, lambda x: 6) == TIED_ORDER[scheme][1]
+
+
+@pytest.mark.parametrize("scheme,policy", ALL_COMBOS)
+def test_default_state_is_a_fresh_heuristic_state(scheme, policy):
+    # propagate without hstate/stats behaves as with unit weights, nothing
+    # assigned and zeroed counters
+    for seed in range(4):
+        p = gen_model_d(n=7 + seed, d=4, e=12 + 2 * seed, t=0.45, seed=seed)
+        runs = []
+        for hstate, stats in (
+            (None, SearchStats()),
+            (HeuristicState(p, WeightStore(p)), SearchStats()),
+            (None, None),
+        ):
+            d = DomainStore(p)
+            out = propagate(p, d, scheme, policy, initial_queue(p, scheme), hstate, stats)
+            runs.append((out, {x: d.current(x) for x in p.variables}))
+        assert runs[0] == runs[1] == runs[2], seed
 
 
 def example1_problem():

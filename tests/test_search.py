@@ -3,7 +3,8 @@ import pytest
 from oracle import count_solutions, satisfiable
 from macsolver.heuristics import ProbeConfig, VOHeuristic
 from macsolver.instances import gen_langford, gen_model_d, gen_queens
-from macsolver.model import Constraint, DomainStore, Problem, check_tuple
+from macsolver.model import Constraint, DomainStore, Problem, SearchStats, check_tuple
+from macsolver.propagation import initial_queue, propagate
 from macsolver.search import (
     ArithmeticRestarts,
     GeometricRestarts,
@@ -337,6 +338,21 @@ def test_pinned_counters_restarts_rand_decide():
     s = out.stats
     assert out.result == "unsat"
     assert (s.nodes, s.checks, s.revisions, s.dwos, s.restarts) == (161, 40279, 12538, 83, 7)
+
+
+@pytest.mark.parametrize(
+    "heuristic",
+    [VOHeuristic(base="impact"), VOHeuristic(base="dom/wdeg", tiebreak="rsc")],
+)
+def test_timeout_holds_in_impact_init_and_tiebreak_probes(heuristic):
+    # the deadline passes during preprocessing, so neither impact
+    # initialisation nor the root's tie-break probes may check a tuple
+    p = gen_queens(6)
+    pre = SearchStats()
+    propagate(p, DomainStore(p), "variable", "fifo", initial_queue(p, "variable"), stats=pre)
+    out = solve(p, SearchConfig(heuristic=heuristic, timeout=1e-9))
+    assert out.result == "timeout"
+    assert (out.stats.nodes, out.stats.checks) == (0, pre.checks)
 
 
 def ne_chain(n):
