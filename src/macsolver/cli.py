@@ -24,7 +24,7 @@ from .harness import (
 )
 from .heuristics import parse_heuristic
 from .propagation import SCHEMES
-from .search import SearchConfig, parse_restarts, solve
+from .search import MODES, VALUE_ORDERS, SearchConfig, parse_restarts, solve
 
 
 class _Parser(argparse.ArgumentParser):
@@ -45,10 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--scheme", default="variable", choices=SCHEMES)
     ps.add_argument("--rev", default="fifo", help="revision ordering policy")
     ps.add_argument("--restart", default="none", help="geo:B:F, arith:B:S, or none")
-    ps.add_argument("--values", default="lex", choices=("lex", "rand"))
+    ps.add_argument("--values", default="lex", choices=VALUE_ORDERS)
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--timeout", type=float, default=3600.0, help="seconds")
-    ps.add_argument("--mode", default="first", choices=("first", "count", "decide"))
+    ps.add_argument("--mode", default="first", choices=MODES)
 
     pb = sub.add_parser("bench", help="run a benchmark sweep")
     pb.add_argument("spec", help="experiment spec JSON file")

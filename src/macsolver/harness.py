@@ -7,7 +7,7 @@ import io
 import json
 import logging
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import instances, model
@@ -94,26 +94,27 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
+        """Parse a JSON object; every list field holds strings, seeds ints."""
         doc = json.loads(text)
-        known = {
-            "instances",
-            "var_heurs",
-            "schemes",
-            "rev_policies",
-            "restarts",
-            "value_orders",
-            "seeds",
-            "timeout",
-        }
-        extra = set(doc) - known
+        if not isinstance(doc, dict):
+            raise ValueError("experiment spec must be a JSON object")
+        extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown experiment field(s) {sorted(extra)}")
         kwargs = {}
-        for name in known:
-            if name not in doc:
+        for name, value in doc.items():
+            if name == "timeout":
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError("experiment field 'timeout' must be a number")
+                kwargs[name] = value
                 continue
-            value = doc[name]
-            kwargs[name] = tuple(value) if isinstance(value, list) else value
+            kind = int if name == "seeds" else str
+            # type() rather than isinstance(): a JSON true is no seed
+            if not isinstance(value, list) or any(type(v) is not kind for v in value):
+                raise ValueError(
+                    f"experiment field {name!r} must be a list of {kind.__name__}"
+                )
+            kwargs[name] = tuple(value)
         return cls(**kwargs)
 
 

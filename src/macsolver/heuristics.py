@@ -366,8 +366,9 @@ def init_impacts(
 
     Each part is propagated in isolation and restored; a part that wipes out
     records impact 1 for its values. Returns False when every part of some
-    variable wipes out (the problem is inconsistent). Raises TimeoutError
-    when a part would start past the deadline.
+    variable wipes out (the problem is inconsistent). Raises TimeoutError,
+    with d restored, when a part or a propagation's queue selection would
+    start past the deadline.
     """
     for x in problem.variables:
         live_parts = 0
@@ -375,57 +376,52 @@ def init_impacts(
             if time.monotonic() >= deadline:
                 raise TimeoutError
             root = d.mark()
-            removed = 0
-            for v in d.current(x):
-                if v not in part:
-                    d.remove(x, v)
-                    removed += 1
-            p_before = space_product(problem, d, hstate.assigned, exclude=x)
-            out = propagate(
-                problem,
-                d,
-                scheme,
-                policy,
-                update_queue(problem, scheme, x, removed),
-                hstate,
-                stats,
-                update_weights=False,
-            )
-            if out.consistent:
-                live_parts += 1
-                p_after = space_product(problem, d, hstate.assigned, exclude=x)
-            else:
-                p_after = 0
-            for a in part:
-                observe_impact(store, x, a, p_before, p_after)
-            d.restore(root)
+            try:
+                removed = 0
+                for v in d.current(x):
+                    if v not in part:
+                        d.remove(x, v)
+                        removed += 1
+                p_before = space_product(problem, d, hstate.assigned, exclude=x)
+                out = propagate(
+                    problem, d, scheme, policy,
+                    update_queue(problem, scheme, x, removed),
+                    hstate, stats, update_weights=False, deadline=deadline,
+                )
+                if out.consistent:
+                    live_parts += 1
+                    p_after = space_product(problem, d, hstate.assigned, exclude=x)
+                else:
+                    p_after = 0
+                for a in part:
+                    observe_impact(store, x, a, p_before, p_after)
+            finally:
+                d.restore(root)
         if live_parts == 0:
             return False
     return True
 
 
-def _probe_value(problem, d, x, a, scheme, policy, hstate, stats):
+def _probe_value(problem, d, x, a, scheme, policy, hstate, stats, deadline):
     """Assign x=a, propagate without weight updates, measure, restore.
 
-    Returns (consistent, p_before, p_after).
+    Returns (consistent, p_before, p_after). d and hstate.assigned are
+    restored on a TimeoutError too.
     """
     root = d.mark()
     removed = d.assign(x, a)
     hstate.assigned.add(x)
-    p_before = space_product(problem, d, hstate.assigned)
-    out = propagate(
-        problem,
-        d,
-        scheme,
-        policy,
-        update_queue(problem, scheme, x, removed),
-        hstate,
-        stats,
-        update_weights=False,
-    )
-    p_after = space_product(problem, d, hstate.assigned) if out.consistent else 0
-    hstate.assigned.discard(x)
-    d.restore(root)
+    try:
+        p_before = space_product(problem, d, hstate.assigned)
+        out = propagate(
+            problem, d, scheme, policy,
+            update_queue(problem, scheme, x, removed),
+            hstate, stats, update_weights=False, deadline=deadline,
+        )
+        p_after = space_product(problem, d, hstate.assigned) if out.consistent else 0
+    finally:
+        hstate.assigned.discard(x)
+        d.restore(root)
     return out.consistent, p_before, p_after
 
 
@@ -447,7 +443,7 @@ def _probe_scan(candidates, problem, d, scheme, policy, hstate, stats, score, de
             if time.monotonic() >= deadline:
                 raise TimeoutError
             ok, p_before, p_after = _probe_value(
-                problem, d, x, a, scheme, policy, hstate, stats
+                problem, d, x, a, scheme, policy, hstate, stats, deadline
             )
             total += score(x, a, p_before, p_after)
             if not ok:
@@ -526,7 +522,7 @@ def random_probe(
     scheme: str,
     policy: str,
     stats,
-    deadline: float | None = None,
+    deadline: float = math.inf,
 ) -> tuple[WeightStore, tuple[str, dict | None] | None]:
     """Run short randomized probes to warm up the conflict weights.
 
@@ -540,8 +536,6 @@ def random_probe(
     from .search import CUTOFF, LEAF, dway_search  # search imports this module
 
     rng = random.Random(cfg.seed)
-    if deadline is None:
-        deadline = math.inf
     solution: dict[str, int] = {}
 
     def choose() -> str:

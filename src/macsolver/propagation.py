@@ -1,6 +1,6 @@
 """Coarse-grained (G)AC propagation.
 
-Three schemes share one revision loop family: the pending queue holds arcs
+Three schemes share one revision loop: the pending queue holds arcs
 (constraint, variable), variables, or constraints. Which element to revise
 next is picked by a pluggable ordering policy; counters attached to
 (constraint, variable) pairs let the variable- and constraint-oriented schemes
@@ -9,6 +9,8 @@ skip revisions that cannot prune anything.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 
 from .model import Constraint, DomainStore, Problem, SearchStats, seek_support
@@ -145,20 +147,39 @@ def needs_not_be_revised(q: RevisionQueue, c: Constraint, x: str) -> bool:
 def initial_queue(problem: Problem, scheme: str) -> RevisionQueue:
     """Preprocessing seeds: every element, all ctr counters set to 1."""
     q = RevisionQueue(scheme)
-    if scheme == "arc":
-        for c in problem.constraints:
-            for x in c.scope:
-                q.add((c.id, x))
-    elif scheme == "variable":
-        for x in problem.variables:
-            q.add(x)
-    else:
-        for c in problem.constraints:
-            q.add(c.id)
     for c in problem.constraints:
+        if scheme == "constraint":
+            q.add(c.id)
         for x in c.scope:
             q.ctr[(c.id, x)] = 1
+            if scheme == "arc":
+                q.add((c.id, x))
+    if scheme == "variable":
+        for x in problem.variables:
+            q.add(x)
     return q
+
+
+def _requeue(problem: Problem, q: RevisionQueue, x: str, removed: int, skip=None) -> None:
+    """Queue what losing `removed` values of D(x) can make revisable.
+
+    Covers every constraint on x except `skip` (the one that removed them):
+    its other arcs, x itself, or the constraint, per the queue kind; x's ctr
+    entries on those constraints grow by `removed`.
+    """
+    kind = q.kind
+    for c in problem.constraints_on[x]:
+        if c is skip:
+            continue
+        if kind == "arc":
+            for z in c.scope:
+                if z != x:
+                    q.add((c.id, z))
+        elif kind == "constraint":
+            q.add(c.id)
+        q.bump(c.id, x, removed)
+    if kind == "variable":
+        q.add(x)
 
 
 def update_queue(problem: Problem, scheme: str, x: str, removed: int) -> RevisionQueue:
@@ -169,20 +190,8 @@ def update_queue(problem: Problem, scheme: str, x: str, removed: int) -> Revisio
     fixpoint intact, so the queue stays empty.
     """
     q = RevisionQueue(scheme)
-    if removed <= 0:
-        return q
-    if scheme == "arc":
-        for c in problem.constraints_on[x]:
-            for z in c.scope:
-                if z != x:
-                    q.add((c.id, z))
-    elif scheme == "variable":
-        q.add(x)
-    else:
-        for c in problem.constraints_on[x]:
-            q.add(c.id)
-    for c in problem.constraints_on[x]:
-        q.ctr[(c.id, x)] = removed
+    if removed > 0:
+        _requeue(problem, q, x, removed)
     return q
 
 
@@ -221,13 +230,15 @@ def propagate(
     hstate=None,
     stats=None,
     update_weights: bool = True,
+    deadline: float = math.inf,
 ) -> PropagationOutcome:
     """Run the queue to fixpoint or to the first domain wipeout.
 
     The revisions counter r advances once per queue selection and the check
     counter advances inside check_tuple. Weight-update events (fruitful
     revisions, DWOs) are forwarded to hstate.weights unless update_weights is
-    False (lookahead probing must not touch weights).
+    False (lookahead probing must not touch weights). Raises TimeoutError
+    when a selection would start past the deadline.
     """
     validate_policy(scheme, policy)
     if queue.kind != scheme:
@@ -243,87 +254,56 @@ def propagate(
     fruitful: set[str] = set()
     total_removed = 0
 
-    def fruitful_revision(c: Constraint, x: str, removed: int) -> bool:
-        """Bookkeeping shared by all schemes; returns True on wipeout."""
+    def revised(c: Constraint, x: str, removed: int) -> PropagationOutcome | None:
+        """Bookkeeping after c removed values of x; the outcome on a wipeout."""
         nonlocal total_removed
         total_removed += removed
         fruitful.add(c.id)
         if update_weights:
             weights.on_deletion(c.id, removed)
         if d.size(x) == 0:
+            blamed = frozenset(fruitful)
             if update_weights:
-                weights.on_dwo(c.id, frozenset(fruitful))
+                weights.on_dwo(c.id, blamed)
             stats.dwos += 1
-            return True
-        return False
+            return PropagationOutcome(False, c.id, x, total_removed, blamed)
+        _requeue(problem, queue, x, removed, c)
+        return None
 
-    def wipeout(c: Constraint, x: str) -> PropagationOutcome:
-        return PropagationOutcome(
-            consistent=False,
-            dwo_constraint=c.id,
-            dwo_variable=x,
-            removed=total_removed,
-            fruitful=frozenset(fruitful),
-        )
-
-    if scheme == "arc":
-        while queue:
-            stats.revisions += 1
-            cid, x = select_next(problem, queue, policy, d, weights, wdeg)
+    arc = scheme == "arc"
+    by_variable = scheme == "variable"
+    weight_ordered = policy.startswith("v_")
+    while queue:
+        if time.monotonic() >= deadline:
+            raise TimeoutError
+        stats.revisions += 1
+        elem = select_next(problem, queue, policy, d, weights, wdeg)
+        if arc:
+            cid, x = elem
             c = problem.by_id[cid]
             removed = revise(problem, d, c, x, stats)
-            if removed > 0:
-                if fruitful_revision(c, x, removed):
-                    return wipeout(c, x)
-                for c2 in problem.constraints_on[x]:
-                    if c2.id == cid:
-                        continue
-                    for z in c2.scope:
-                        if z != x:
-                            queue.add((c2.id, z))
-    elif scheme == "variable":
-        weight_ordered = policy.startswith("v_")
-        while queue:
-            stats.revisions += 1
-            x = select_next(problem, queue, policy, d, weights, wdeg)
-            cs = problem.constraints_on[x]
+            if removed > 0 and (wiped := revised(c, x, removed)):
+                return wiped
+            continue
+        if by_variable:
+            cs = problem.constraints_on[elem]
             if weight_ordered:
                 cs = sorted(cs, key=lambda c: -weights.get(c.id))
-            for c in cs:
-                if queue.ctr_of(c.id, x) == 0:
-                    continue
-                for y in c.scope:
-                    if needs_not_be_revised(queue, c, y):
-                        continue
-                    removed = revise(problem, d, c, y, stats)
-                    if removed > 0:
-                        if fruitful_revision(c, y, removed):
-                            return wipeout(c, y)
-                        queue.add(y)
-                        for c2 in problem.constraints_on[y]:
-                            if c2.id != c.id:
-                                queue.bump(c2.id, y, removed)
-                # c is now fully propagated: clear its pending-removal counters
-                queue.reset_ctr(c)
-    else:
-        while queue:
-            stats.revisions += 1
-            cid = select_next(problem, queue, policy, d, weights, wdeg)
-            c = problem.by_id[cid]
+        else:
+            cs = (problem.by_id[elem],)
+        for c in cs:
+            # read lazily: revising an earlier constraint can raise this ctr
+            if by_variable and queue.ctr_of(c.id, elem) == 0:
+                continue
             for y in c.scope:
                 if needs_not_be_revised(queue, c, y):
                     continue
                 removed = revise(problem, d, c, y, stats)
-                if removed > 0:
-                    if fruitful_revision(c, y, removed):
-                        return wipeout(c, y)
-                    for c2 in problem.constraints_on[y]:
-                        if c2.id != cid:
-                            queue.add(c2.id)
-                            queue.bump(c2.id, y, removed)
+                if removed > 0 and (wiped := revised(c, y, removed)):
+                    return wiped
+            # c is now fully propagated: clear its pending-removal counters
             queue.reset_ctr(c)
 
     return PropagationOutcome(
         consistent=True, removed=total_removed, fruitful=frozenset(fruitful)
     )
-

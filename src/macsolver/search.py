@@ -83,6 +83,10 @@ def restarts_name(policy) -> str:
     return f"arith:{policy.base}:{policy.step}"
 
 
+VALUE_ORDERS = ("lex", "rand")
+MODES = ("first", "count", "decide")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Everything a solve needs besides the problem itself.
@@ -103,9 +107,9 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         validate_policy(self.scheme, self.policy)
-        if self.value_order not in ("lex", "rand"):
+        if self.value_order not in VALUE_ORDERS:
             raise ValueError(f"unknown value order {self.value_order!r}")
-        if self.mode not in ("first", "count", "decide"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
@@ -153,7 +157,8 @@ def dway_search(
     observed impact.
 
     Returns LEAF, EXHAUSTED or CUTOFF, and leaves d and hstate.assigned as it
-    found them. Raises TimeoutError when a node would start past the deadline.
+    found them. Raises TimeoutError when a node or a propagation's queue
+    selection would start past the deadline.
     """
     root = d.mark()
     assignment: dict[str, int] = {}
@@ -184,7 +189,7 @@ def dway_search(
                 if d.size(x) == 0 or not propagate(
                     problem, d, scheme, policy,
                     update_queue(problem, scheme, x, 1),
-                    hstate, stats,
+                    hstate, stats, deadline=deadline,
                 ).consistent:
                     stack.pop()
                     continue
@@ -207,7 +212,7 @@ def dway_search(
             out = propagate(
                 problem, d, scheme, policy,
                 update_queue(problem, scheme, x, removed),
-                hstate, stats,
+                hstate, stats, deadline=deadline,
             )
             if impacts is not None:
                 p_after = (
@@ -262,15 +267,13 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
             weights=weights,
         )
 
-    out = propagate(
-        problem, d, cfg.scheme, cfg.policy, initial_queue(problem, cfg.scheme),
-        hstate, stats,
-    )
-    if not out.consistent:
-        return finish("unsat")
-
     definitive = None
     try:
+        if not propagate(
+            problem, d, cfg.scheme, cfg.policy, initial_queue(problem, cfg.scheme),
+            hstate, stats, deadline=deadline,
+        ).consistent:
+            return finish("unsat")
         if heur.base == "impact" and not init_impacts(
             problem, d, impacts, cfg.scheme, cfg.policy, hstate, stats,
             deadline=deadline,

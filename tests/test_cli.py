@@ -6,6 +6,7 @@ from macsolver.cli import main
 from macsolver.harness import read_csv
 from macsolver.instances import gen_langford
 from macsolver.model import dump_problem
+from macsolver.search import MODES, VALUE_ORDERS
 from test_search import ne_chain
 
 
@@ -21,6 +22,18 @@ def test_solve_sat_exit_zero(capsys):
     assert "result: sat" in out
     assert "solution:" in out
     assert "nodes:" in out
+
+
+@pytest.mark.parametrize(
+    "flag, choices", [("--values", VALUE_ORDERS), ("--mode", MODES)]
+)
+def test_solve_choices_are_the_search_tuples(capsys, flag, choices):
+    for choice in choices:
+        code, out, _ = run(capsys, "solve", "queens:n=4", flag, choice)
+        assert code == 0, out
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "queens:n=4", flag, "nosuch"])
+    assert exc.value.code == 3
 
 
 def test_solve_unsat_exit_one(capsys):

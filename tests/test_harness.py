@@ -88,6 +88,22 @@ def test_experiment_spec_from_json():
         ExperimentSpec.from_json(json.dumps({"instances": ["queens:n=4"], "nope": 1}))
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ([1, 2], "must be a JSON object"),
+        ({"instances": "queens:n=4", "var_heurs": ["dom"]}, "'instances' must be a list of str"),
+        ({"instances": ["queens:n=4"], "var_heurs": ["dom", 3]}, "'var_heurs' must be a list of str"),
+        ({"instances": ["queens:n=4"], "var_heurs": ["dom"], "seeds": 3}, "'seeds' must be a list of int"),
+        ({"instances": ["queens:n=4"], "var_heurs": ["dom"], "seeds": [0, True]}, "'seeds' must be a list of int"),
+        ({"instances": ["queens:n=4"], "var_heurs": ["dom"], "timeout": "60"}, "'timeout' must be a number"),
+    ],
+)
+def test_experiment_spec_from_json_rejects_bad_types(doc, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec.from_json(json.dumps(doc))
+
+
 def test_load_instance_spec_and_file(tmp_path):
     p = load_instance("queens:n=4")
     assert p.name == "queens-4"

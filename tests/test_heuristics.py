@@ -2,9 +2,11 @@ import os
 import subprocess
 import sys
 import time
+import types
 
 import pytest
 
+from macsolver import propagation
 from macsolver.heuristics import (
     Deletions,
     Dwo,
@@ -574,3 +576,46 @@ def test_random_probe_deadline():
             p, d, cfg, ws, hstate, "variable", "fifo", s,
             deadline=time.monotonic() - 1.0,
         )
+
+
+PROBES = {
+    "init_impacts": lambda p, d, hs, s, dl: init_impacts(
+        p, d, hs.impacts, "variable", "fifo", hs, s, deadline=dl
+    ),
+    "rsc_tiebreak": lambda p, d, hs, s, dl: rsc_tiebreak(
+        list(p.variables), p, d, "variable", "fifo", hs, s, dl
+    ),
+    "node_impact_tiebreak": lambda p, d, hs, s, dl: node_impact_tiebreak(
+        list(p.variables), p, d, hs.impacts, "variable", "fifo", hs, s, dl
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_probes_honour_a_passed_deadline(name):
+    p = gen_model_d(n=6, d=5, e=9, t=0.3, seed=4)
+    d = DomainStore(p)
+    hstate = fresh_state(p, impacts=ImpactStore())
+    s = Stats()
+    with pytest.raises(TimeoutError):
+        PROBES[name](p, d, hstate, s, time.monotonic() - 1.0)
+    assert s.tuple() == (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("name", sorted(PROBES))
+def test_probes_restore_state_on_a_timeout_inside_propagation(name, monkeypatch):
+    # the deadline passes at the sixth queue selection, in the middle of a
+    # probe's propagation
+    deadline = time.monotonic() + 60.0
+    selections = iter(range(1000))
+    clock = lambda: deadline if next(selections) >= 5 else 0.0  # noqa: E731
+    monkeypatch.setattr(propagation, "time", types.SimpleNamespace(monotonic=clock))
+    p = gen_model_d(n=6, d=5, e=9, t=0.3, seed=4)
+    d = DomainStore(p)
+    hstate = fresh_state(p, impacts=ImpactStore())
+    s = Stats()
+    with pytest.raises(TimeoutError):
+        PROBES[name](p, d, hstate, s, deadline)
+    assert s.revisions == 5
+    assert not hstate.assigned
+    assert all(d.size(x) == len(p.domains[x]) for x in p.variables)

@@ -1,6 +1,11 @@
+import itertools
+import time
+import types
+
 import pytest
 
 from oracle import ac_fixpoint
+from macsolver import propagation
 from macsolver.heuristics import HeuristicState, WeightStore
 from macsolver.instances import gen_model_d
 from macsolver.model import Constraint, DomainStore, Problem, SearchStats
@@ -471,3 +476,29 @@ def test_removed_totals_match_domain_shrinkage():
     after = sum(d.size(x) for x in p.variables)
     if out.consistent:
         assert before - after == out.removed
+
+
+@pytest.mark.parametrize("scheme, policy", ALL_COMBOS)
+def test_passed_deadline_stops_before_the_first_revision(scheme, policy):
+    p = gen_model_d(n=8, d=4, e=14, t=0.3, seed=1)
+    s = Stats()
+    with pytest.raises(TimeoutError):
+        propagate(
+            p, DomainStore(p), scheme, policy, initial_queue(p, scheme),
+            stats=s, deadline=time.monotonic() - 1.0,
+        )
+    assert (s.checks, s.revisions, s.dwos) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("scheme", ["arc", "variable", "constraint"])
+def test_deadline_checked_once_per_selection(scheme, monkeypatch):
+    ticks = itertools.count()
+    monkeypatch.setattr(
+        propagation, "time", types.SimpleNamespace(monotonic=lambda: next(ticks))
+    )
+    p = gen_model_d(n=8, d=4, e=14, t=0.3, seed=1)
+    s = Stats()
+    with pytest.raises(TimeoutError):
+        propagate(p, DomainStore(p), scheme, POLICIES_BY_SCHEME[scheme][0],
+                  initial_queue(p, scheme), stats=s, deadline=3)
+    assert s.revisions == 3

@@ -3,8 +3,8 @@ import pytest
 from oracle import count_solutions, satisfiable
 from macsolver.heuristics import ProbeConfig, VOHeuristic
 from macsolver.instances import gen_langford, gen_model_d, gen_queens
-from macsolver.model import Constraint, DomainStore, Problem, SearchStats, check_tuple
-from macsolver.propagation import initial_queue, propagate
+from macsolver.model import Constraint, DomainStore, Problem, check_tuple
+from macsolver.propagation import POLICIES_BY_SCHEME
 from macsolver.search import (
     ArithmeticRestarts,
     GeometricRestarts,
@@ -345,14 +345,50 @@ def test_pinned_counters_restarts_rand_decide():
     [VOHeuristic(base="impact"), VOHeuristic(base="dom/wdeg", tiebreak="rsc")],
 )
 def test_timeout_holds_in_impact_init_and_tiebreak_probes(heuristic):
-    # the deadline passes during preprocessing, so neither impact
-    # initialisation nor the root's tie-break probes may check a tuple
+    # the deadline passes before the root propagation's first queue
+    # selection, so neither preprocessing, impact initialisation nor the
+    # root's tie-break probes may check a tuple
     p = gen_queens(6)
-    pre = SearchStats()
-    propagate(p, DomainStore(p), "variable", "fifo", initial_queue(p, "variable"), stats=pre)
     out = solve(p, SearchConfig(heuristic=heuristic, timeout=1e-9))
     assert out.result == "timeout"
-    assert (out.stats.nodes, out.stats.checks) == (0, pre.checks)
+    assert (out.stats.nodes, out.stats.checks) == (0, 0)
+
+
+# (result, nodes, checks, revisions, dwos) of langford:k=2,n=5 under dom/wdeg,
+# decide, for every scheme x policy pair
+PINNED_POLICY_COUNTERS = {
+    ("arc", "fifo"): ("unsat", 32, 11414, 3108, 20),
+    ("arc", "dom"): ("unsat", 30, 10028, 3168, 20),
+    ("arc", "a_wcon"): ("unsat", 34, 11422, 2979, 21),
+    ("arc", "a_wdeg"): ("unsat", 31, 11850, 2955, 21),
+    ("arc", "a_dom/wdeg"): ("unsat", 33, 10461, 3211, 21),
+    ("arc", "a_dom/wcon"): ("unsat", 34, 10626, 3206, 21),
+    ("arc", "a_dom/wdeg_inverse"): ("unsat", 31, 9273, 2266, 21),
+    ("arc", "a_dom/wcon_inverse"): ("unsat", 33, 9277, 2356, 21),
+    ("variable", "fifo"): ("unsat", 31, 10742, 305, 21),
+    ("variable", "dom"): ("unsat", 31, 9540, 239, 21),
+    ("variable", "v_wdeg"): ("unsat", 30, 11021, 324, 20),
+    ("variable", "v_dom/wdeg"): ("unsat", 31, 9112, 242, 21),
+    ("constraint", "c_wcon"): ("unsat", 35, 11166, 2332, 21),
+}
+
+
+def test_pinned_counters_cover_every_policy():
+    assert sorted(PINNED_POLICY_COUNTERS) == sorted(
+        (s, p) for s, pols in POLICIES_BY_SCHEME.items() for p in pols
+    )
+
+
+@pytest.mark.parametrize("scheme, policy", sorted(PINNED_POLICY_COUNTERS))
+def test_pinned_counters_per_policy(scheme, policy):
+    cfg = SearchConfig(
+        heuristic=VOHeuristic(base="dom/wdeg"), scheme=scheme, policy=policy,
+        mode="decide",
+    )
+    out = solve(gen_langford(2, 5), cfg)
+    s = out.stats
+    got = (out.result, s.nodes, s.checks, s.revisions, s.dwos)
+    assert got == PINNED_POLICY_COUNTERS[scheme, policy]
 
 
 def ne_chain(n):
