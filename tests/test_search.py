@@ -1,7 +1,7 @@
 import pytest
 
 from oracle import count_solutions, satisfiable
-from macsolver.heuristics import ProbeConfig, VOHeuristic
+from macsolver.heuristics import ProbeConfig, VOHeuristic, parse_heuristic
 from macsolver.instances import gen_langford, gen_model_d, gen_queens
 from macsolver.model import Constraint, DomainStore, Problem, check_tuple
 from macsolver.propagation import POLICIES_BY_SCHEME
@@ -327,6 +327,29 @@ def test_pinned_counters_impact_nodeimpact_count():
     s = out.stats
     assert (out.result, out.count) == ("sat", 4)
     assert (s.nodes, s.checks, s.revisions, s.dwos, s.restarts) == (54, 16317, 3293, 30, 0)
+
+
+# (result, count, nodes, checks, revisions, dwos, restarts) of langford:k=2,n=4,
+# arc/a_dom/wdeg, count, for the heuristics that run lookahead probes. The
+# weighted revision order reads hstate.assigned, so these also pin which
+# variable is marked assigned while a probe propagates.
+PINNED_LOOKAHEAD_COUNTERS = {
+    "impact+rsc": ("sat", 2, 20, 12727, 4289, 8, 0),
+    "dom+nodeimpact": ("sat", 2, 18, 5112, 1634, 22, 0),
+    "impact": ("sat", 2, 22, 10278, 3347, 8, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOOKAHEAD_COUNTERS))
+def test_pinned_counters_lookahead_count(name):
+    cfg = SearchConfig(
+        heuristic=parse_heuristic(name), scheme="arc", policy="a_dom/wdeg",
+        mode="count",
+    )
+    out = solve(gen_langford(2, 4), cfg)
+    s = out.stats
+    got = (out.result, out.count, s.nodes, s.checks, s.revisions, s.dwos, s.restarts)
+    assert got == PINNED_LOOKAHEAD_COUNTERS[name]
 
 
 def test_pinned_counters_restarts_rand_decide():
