@@ -106,6 +106,8 @@ class ExperimentSpec:
             if name == "timeout":
                 if isinstance(value, bool) or not isinstance(value, (int, float)):
                     raise ValueError("experiment field 'timeout' must be a number")
+                if not value > 0:
+                    raise ValueError("experiment field 'timeout' must be positive")
                 kwargs[name] = value
                 continue
             kind = int if name == "seeds" else str

@@ -51,6 +51,7 @@ BASES = tuple(SCORE_BUILDERS)
 CONFLICT_BASES = ("wdeg", "dom/wdeg", "alldel", "fully")
 TIEBREAKS = ("lexico", "rsc", "nodeimpact")
 WEIGHT_POLICIES = ("wdeg", "alldel", "fully")
+IMPACT_PARTS = 4  # init_impacts probes each domain in at most this many parts
 
 
 @dataclass(frozen=True)
@@ -271,11 +272,11 @@ def select_variable(
         return candidates[0]
     if h.tiebreak == "rsc":
         return rsc_tiebreak(
-            candidates, problem, d, scheme, policy, hstate, stats, deadline
+            candidates, problem, d, scheme, policy, hstate, stats, deadline=deadline,
         )
     return node_impact_tiebreak(
         candidates, problem, d, hstate.impacts, scheme, policy, hstate, stats,
-        deadline,
+        deadline=deadline,
     )
 
 
@@ -332,13 +333,13 @@ def space_product(problem: Problem, d: DomainStore, assigned: set[str], exclude:
     return p
 
 
-def partition_parts(values: list[int], max_parts: int = 4) -> list[list[int]]:
-    """Split values into at most max_parts contiguous runs of near-equal size.
+def partition_parts(values: list[int]) -> list[list[int]]:
+    """Split values into at most IMPACT_PARTS contiguous runs of near-equal size.
 
     Earlier parts take the remainder, so sizes differ by at most one.
     """
     n = len(values)
-    parts = min(max_parts, n)
+    parts = min(IMPACT_PARTS, n)
     if parts == 0:
         return []
     base, rem = divmod(n, parts)
@@ -351,6 +352,33 @@ def partition_parts(values: list[int], max_parts: int = 4) -> list[list[int]]:
     return out
 
 
+def _lookahead(problem, d, x, keep, scheme, policy, hstate, stats, deadline):
+    """Shrink D(x) to keep, propagate without weight updates, measure, restore d.
+
+    Returns (consistent, p_before, p_after), products of the other unassigned
+    domains, p_after 0 on a wipeout. Raises TimeoutError at a passed deadline.
+    """
+    if time.monotonic() >= deadline:
+        raise TimeoutError
+    root = d.mark()
+    try:
+        removed = 0
+        for v in d.current(x):
+            if v not in keep:
+                d.remove(x, v)
+                removed += 1
+        p_before = space_product(problem, d, hstate.assigned, exclude=x)
+        if not propagate(
+            problem, d, scheme, policy,
+            update_queue(problem, scheme, x, removed),
+            hstate, stats, update_weights=False, deadline=deadline,
+        ).consistent:
+            return False, p_before, 0
+        return True, p_before, space_product(problem, d, hstate.assigned, exclude=x)
+    finally:
+        d.restore(root)
+
+
 def init_impacts(
     problem: Problem,
     d: DomainStore,
@@ -359,7 +387,6 @@ def init_impacts(
     policy: str,
     hstate: HeuristicState,
     stats,
-    max_parts: int = 4,
     deadline: float = math.inf,
 ) -> bool:
     """Initialize impacts by probing contiguous sub-domains of every variable.
@@ -372,61 +399,20 @@ def init_impacts(
     """
     for x in problem.variables:
         live_parts = 0
-        for part in partition_parts(sorted(d.current(x)), max_parts):
-            if time.monotonic() >= deadline:
-                raise TimeoutError
-            root = d.mark()
-            try:
-                removed = 0
-                for v in d.current(x):
-                    if v not in part:
-                        d.remove(x, v)
-                        removed += 1
-                p_before = space_product(problem, d, hstate.assigned, exclude=x)
-                out = propagate(
-                    problem, d, scheme, policy,
-                    update_queue(problem, scheme, x, removed),
-                    hstate, stats, update_weights=False, deadline=deadline,
-                )
-                if out.consistent:
-                    live_parts += 1
-                    p_after = space_product(problem, d, hstate.assigned, exclude=x)
-                else:
-                    p_after = 0
-                for a in part:
-                    observe_impact(store, x, a, p_before, p_after)
-            finally:
-                d.restore(root)
+        for part in partition_parts(sorted(d.current(x))):
+            ok, p_before, p_after = _lookahead(
+                problem, d, x, part, scheme, policy, hstate, stats, deadline=deadline
+            )
+            live_parts += ok
+            for a in part:
+                observe_impact(store, x, a, p_before, p_after)
         if live_parts == 0:
             return False
     return True
 
 
-def _probe_value(problem, d, x, a, scheme, policy, hstate, stats, deadline):
-    """Assign x=a, propagate without weight updates, measure, restore.
-
-    Returns (consistent, p_before, p_after). d and hstate.assigned are
-    restored on a TimeoutError too.
-    """
-    root = d.mark()
-    removed = d.assign(x, a)
-    hstate.assigned.add(x)
-    try:
-        p_before = space_product(problem, d, hstate.assigned)
-        out = propagate(
-            problem, d, scheme, policy,
-            update_queue(problem, scheme, x, removed),
-            hstate, stats, update_weights=False, deadline=deadline,
-        )
-        p_after = space_product(problem, d, hstate.assigned) if out.consistent else 0
-    finally:
-        hstate.assigned.discard(x)
-        d.restore(root)
-    return out.consistent, p_before, p_after
-
-
 def _probe_scan(candidates, problem, d, scheme, policy, hstate, stats, score, deadline):
-    """Probe every live value of each candidate once with _probe_value.
+    """Probe every live value of each candidate once, the candidate marked assigned.
 
     Values that wipe out are pruned from the real domain; returns None when a
     candidate's domain empties (the caller must fail the node). Otherwise the
@@ -439,15 +425,17 @@ def _probe_scan(candidates, problem, d, scheme, policy, hstate, stats, score, de
     for x in candidates:
         wiped = []
         total = 0
-        for a in d.current(x):
-            if time.monotonic() >= deadline:
-                raise TimeoutError
-            ok, p_before, p_after = _probe_value(
-                problem, d, x, a, scheme, policy, hstate, stats, deadline
-            )
-            total += score(x, a, p_before, p_after)
-            if not ok:
-                wiped.append(a)
+        hstate.assigned.add(x)
+        try:
+            for a in d.current(x):
+                ok, p_before, p_after = _lookahead(
+                    problem, d, x, (a,), scheme, policy, hstate, stats, deadline=deadline,
+                )
+                total += score(x, a, p_before, p_after)
+                if not ok:
+                    wiped.append(a)
+        finally:
+            hstate.assigned.discard(x)
         for a in wiped:
             d.remove(x, a)
         if d.size(x) == 0:
@@ -470,20 +458,21 @@ def node_impact_tiebreak(
 ) -> str | None:
     """Break ties with exact impacts measured at this node.
 
-    Every candidate value is probed and its impact recorded in the store;
-    values that wipe out are pruned from the real domain (None on an emptied
-    candidate). The candidate with the smallest summed residual (1 - impact)
-    wins, first-listed on ties.
+    Every candidate value is probed, and its impact recorded in the store if
+    there is one; values that wipe out are pruned from the real domain (None
+    on an emptied candidate). The candidate with the smallest summed residual
+    (1 - impact) wins, first-listed on ties.
     """
 
     def residual(x, a, p_before, p_after):
-        impact = 1.0 - (p_after / p_before) if p_before > 0 else 1.0
-        if store is not None:
-            store.observe(x, a, impact)
+        if store is None:
+            impact = 1.0 - (p_after / p_before)
+        else:
+            impact = observe_impact(store, x, a, p_before, p_after)
         return 1.0 - impact
 
     return _probe_scan(
-        candidates, problem, d, scheme, policy, hstate, stats, residual, deadline
+        candidates, problem, d, scheme, policy, hstate, stats, residual, deadline=deadline
     )
 
 
@@ -506,7 +495,7 @@ def rsc_tiebreak(
     return _probe_scan(
         candidates, problem, d, scheme, policy, hstate, stats,
         lambda x, a, p_before, p_after: p_after - p_before,
-        deadline,
+        deadline=deadline,
     )
 
 

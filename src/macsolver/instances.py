@@ -196,6 +196,8 @@ def parse_spec(text: str) -> Problem:
         name = name.strip()
         if not eq or name not in param_names:
             raise ValueError(f"bad generator parameter {piece!r} in {text!r}")
+        if name in params:
+            raise ValueError(f"repeated generator parameter {name!r} in {text!r}")
         raw = raw.strip()
         params[name] = float(raw) if name == "t" else int(raw)
     if "seed" in param_names:

@@ -36,8 +36,8 @@ class GeometricRestarts:
     factor: float = 1.5
 
     def __post_init__(self) -> None:
-        if self.base < 1 or self.factor <= 1.0:
-            raise ValueError("geometric restarts need base >= 1 and factor > 1")
+        if self.base < 1 or not 1.0 < self.factor < math.inf:
+            raise ValueError("geometric restarts need base >= 1 and a finite factor > 1")
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ class SearchConfig:
             raise ValueError(f"unknown value order {self.value_order!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.timeout <= 0:
+        if not self.timeout > 0:  # also rejects NaN; inf means no limit
             raise ValueError("timeout must be positive")
 
 
@@ -247,11 +247,7 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
     stats = SearchStats()
     heur = cfg.heuristic
     weights = WeightStore(problem, policy=weight_policy_for(heur.base))
-    impacts = (
-        ImpactStore()
-        if heur.base == "impact" or heur.tiebreak == "nodeimpact"
-        else None
-    )
+    impacts = ImpactStore() if heur.base == "impact" else None
     hstate = HeuristicState(problem, weights, impacts)
     d = model.DomainStore(problem)
     solution: dict[str, int] | None = None
@@ -282,7 +278,7 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
         if heur.probing is not None:
             _, definitive = random_probe(
                 problem, d, heur.probing, weights, hstate,
-                cfg.scheme, cfg.policy, stats, deadline,
+                cfg.scheme, cfg.policy, stats, deadline=deadline,
             )
     except TimeoutError:
         return finish("timeout")
@@ -329,7 +325,7 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
         try:
             result = dway_search(
                 problem, d, cfg.scheme, cfg.policy, hstate, stats, deadline,
-                choose, values, leaf, failed, impacts if heur.base == "impact" else None,
+                choose, values, leaf, failed, impacts,
             )
         except TimeoutError:
             return finish("timeout")

@@ -98,6 +98,26 @@ def test_domain_errors_exit_three(capsys):
     assert code == 3  # policy does not fit the variable scheme
 
 
+def test_nan_timeout_and_non_finite_restarts_exit_three(capsys):
+    # each is rejected before any search runs
+    bad = (("--timeout", "nan"), ("--restart", "geo:1:inf"), ("--restart", "geo:1:nan"))
+    for option, value in bad:
+        code, out, err = run(capsys, "solve", "langford:k=2,n=9", option, value)
+        assert code == 3
+        assert "result:" not in out
+        assert "error:" in err and "internal" not in err
+
+
+def test_bench_rejects_a_nan_timeout_before_any_run(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"instances": ["queens:n=4"], "var_heurs": ["dom"], "timeout": NaN}')
+    out_path = tmp_path / "rows.csv"
+    code, _, err = run(capsys, "bench", str(spec_path), "--out", str(out_path))
+    assert code == 3
+    assert "'timeout' must be positive" in err
+    assert not out_path.exists()
+
+
 def test_deep_chain_solves_exit_zero(tmp_path, capsys):
     path = tmp_path / "chain.json"
     path.write_text(dump_problem(ne_chain(1200)))

@@ -104,6 +104,18 @@ def test_experiment_spec_from_json_rejects_bad_types(doc, message):
         ExperimentSpec.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("timeout", ["NaN", "0", "-5", "-Infinity"])
+def test_experiment_spec_from_json_rejects_a_non_positive_timeout(timeout):
+    text = f'{{"instances": ["queens:n=4"], "var_heurs": ["dom"], "timeout": {timeout}}}'
+    with pytest.raises(ValueError, match="'timeout' must be positive"):
+        ExperimentSpec.from_json(text)
+
+
+def test_experiment_spec_from_json_accepts_an_infinite_timeout():
+    text = '{"instances": ["queens:n=4"], "var_heurs": ["dom"], "timeout": Infinity}'
+    assert ExperimentSpec.from_json(text).timeout == float("inf")
+
+
 def test_load_instance_spec_and_file(tmp_path):
     p = load_instance("queens:n=4")
     assert p.name == "queens-4"

@@ -197,6 +197,13 @@ def test_parse_spec_errors():
         parse_spec("langford:k=2")  # n missing
 
 
+def test_parse_spec_rejects_a_repeated_parameter():
+    with pytest.raises(ValueError, match="repeated generator parameter 'n'"):
+        parse_spec("queens:n=4,n=6")
+    with pytest.raises(ValueError, match="repeated"):
+        parse_spec("modelD:n=6,d=3,e=8,t=0.4,seed=5,seed=5")
+
+
 def test_is_spec():
     assert is_spec("queens:n=8")
     assert is_spec("modelD:n=5,d=3,e=6,t=0.5")

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from oracle import count_solutions, satisfiable
@@ -67,6 +69,24 @@ def test_parse_restarts():
         parse_restarts("geo:10")
     with pytest.raises(ValueError):
         parse_restarts("bogus:1:2")
+
+
+def test_restarts_reject_non_finite_factors():
+    for factor in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            GeometricRestarts(base=1, factor=factor)
+    # rejected up front, before any search runs
+    for text in ("geo:1:inf", "geo:1:nan"):
+        with pytest.raises(ValueError, match="finite factor"):
+            parse_restarts(text)
+
+
+def test_timeout_must_be_a_positive_number():
+    for timeout in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            SearchConfig(timeout=timeout)
+    out = solve(gen_queens(4), SearchConfig(timeout=math.inf, mode="count"))
+    assert (out.result, out.count) == ("sat", 2)
 
 
 def test_restarts_name_roundtrip():
