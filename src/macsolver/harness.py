@@ -8,6 +8,7 @@ import json
 import logging
 import statistics
 from dataclasses import dataclass, fields, replace
+from itertools import product
 from pathlib import Path
 
 from . import instances, model
@@ -87,10 +88,15 @@ class ExperimentSpec:
     timeout: float = 3600.0
 
     def __post_init__(self) -> None:
-        if not self.instances:
-            raise ValueError("experiment needs at least one instance")
-        if not self.var_heurs:
-            raise ValueError("experiment needs at least one variable heuristic")
+        for f in fields(self):
+            if f.name != "timeout" and not getattr(self, f.name):
+                raise ValueError(f"experiment field {f.name!r} must not be empty")
+        for scheme in self.schemes:
+            if scheme not in POLICIES_BY_SCHEME:
+                raise ValueError(f"unknown propagation scheme {scheme!r}")
+        for rev in self.rev_policies:
+            if not any(rev in POLICIES_BY_SCHEME[s] for s in self.schemes):
+                raise ValueError(f"revision policy {rev!r} fits none of the schemes")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -130,55 +136,45 @@ def load_instance(source: str) -> model.Problem:
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run the full cross product and return rows in deterministic order.
 
-    Invalid scheme/policy pairs in the product are skipped with a warning.
-    Random value-order configs get one row per seed plus an averaged row.
+    Every configuration is built before the first run, so a bad heuristic or
+    restart name fails the sweep before anything is solved. Scheme/policy
+    pairs that do not fit are skipped with a warning. Random value-order
+    configs get one row per seed plus an averaged row.
     """
+    for scheme, rev in product(spec.schemes, spec.rev_policies):
+        if rev not in POLICIES_BY_SCHEME[scheme]:
+            log.warning("skipping %s with scheme %s (policy does not fit)", rev, scheme)
+    # (var_heur, restart, one SearchConfig per seed), in row order
+    plan = [
+        (var_heur, restart, [
+            SearchConfig(
+                heuristic=parse_heuristic(var_heur, probe_seed=seed), scheme=scheme,
+                policy=rev, restarts=parse_restarts(restart), value_order=value_order,
+                seed=seed, mode="decide", timeout=spec.timeout,
+            )
+            for seed in spec.seeds
+        ])
+        for scheme, var_heur, rev, restart, value_order in product(
+            spec.schemes, spec.var_heurs, spec.rev_policies, spec.restarts,
+            spec.value_orders,
+        )
+        if rev in POLICIES_BY_SCHEME[scheme]
+    ]
     rows: list[ResultRow] = []
     for source in spec.instances:
         problem = load_instance(source)
-        for scheme in spec.schemes:
-            for var_heur in spec.var_heurs:
-                for rev in spec.rev_policies:
-                    if rev not in POLICIES_BY_SCHEME.get(scheme, ()):
-                        log.warning(
-                            "skipping %s with scheme %s (policy does not fit)",
-                            rev,
-                            scheme,
-                        )
-                        continue
-                    for restart in spec.restarts:
-                        for value_order in spec.value_orders:
-                            group = []
-                            for seed in spec.seeds:
-                                cfg = SearchConfig(
-                                    heuristic=parse_heuristic(var_heur, probe_seed=seed),
-                                    scheme=scheme,
-                                    policy=rev,
-                                    restarts=parse_restarts(restart),
-                                    value_order=value_order,
-                                    seed=seed,
-                                    mode="decide",
-                                    timeout=spec.timeout,
-                                )
-                                outcome = solve(problem, cfg)
-                                row = ResultRow(
-                                    instance=problem.name,
-                                    scheme=scheme,
-                                    var_heur=var_heur,
-                                    rev_heur=rev,
-                                    restart=restart,
-                                    value_order=value_order,
-                                    seed=seed,
-                                    result=outcome.result,
-                                    **{
-                                        col: getattr(outcome.stats, col)
-                                        for col in _MEASURED
-                                    },
-                                )
-                                group.append(row)
-                            rows.extend(group)
-                            if value_order == "rand" and len(group) > 1:
-                                rows.append(_averaged(group))
+        for var_heur, restart, cfgs in plan:
+            group = []
+            for cfg in cfgs:
+                outcome = solve(problem, cfg)
+                group.append(ResultRow(
+                    problem.name, cfg.scheme, var_heur, cfg.policy, restart,
+                    cfg.value_order, cfg.seed, outcome.result,
+                    **{col: getattr(outcome.stats, col) for col in _MEASURED},
+                ))
+            rows.extend(group)
+            if cfgs[0].value_order == "rand" and len(group) > 1:
+                rows.append(_averaged(group))
     return rows
 
 
@@ -198,20 +194,15 @@ def _averaged(group: list[ResultRow]) -> ResultRow:
 
 def write_csv(rows: list[ResultRow], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
-        _write_csv(rows, fh)
+        fh.write(csv_text(rows))
 
 
 def csv_text(rows: list[ResultRow]) -> str:
     buf = io.StringIO()
-    _write_csv(rows, buf)
-    return buf.getvalue()
-
-
-def _write_csv(rows: list[ResultRow], fh) -> None:
-    writer = csv.writer(fh)
+    writer = csv.writer(buf)
     writer.writerow(COLUMNS)
-    for row in rows:
-        writer.writerow(row.to_list())
+    writer.writerows(row.to_list() for row in rows)
+    return buf.getvalue()
 
 
 def read_csv(path: str | Path) -> list[ResultRow]:

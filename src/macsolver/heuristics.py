@@ -98,7 +98,8 @@ def parse_heuristic(name: str, probe_seed: int = 0) -> VOHeuristic:
     """Parse a heuristic name like "dom/wdeg+probe+rsc" or "dom+deg".
 
     Suffixes: +rsc and +nodeimpact pick the tie-break, +probe turns on random
-    probing with its default parameters and the given seed.
+    probing with its default parameters and the given seed. Suffixes come in
+    any order; a repeated suffix or a second tie-break is rejected.
     """
     rest = name
     base = None
@@ -111,7 +112,10 @@ def parse_heuristic(name: str, probe_seed: int = 0) -> VOHeuristic:
         raise ValueError(f"unknown heuristic {name!r}")
     tiebreak = "lexico"
     probing = None
-    for token in filter(None, rest.split("+")):
+    tokens = rest.split("+")[1:]  # rest is "" or starts with "+"
+    if len(set(tokens)) < len(tokens) or {"rsc", "nodeimpact"} <= set(tokens):
+        raise ValueError(f"repeated suffix or second tie-break in {name!r}")
+    for token in tokens:
         if token in ("rsc", "nodeimpact"):
             tiebreak = token
         elif token == "probe":
@@ -275,8 +279,7 @@ def select_variable(
             candidates, problem, d, scheme, policy, hstate, stats, deadline=deadline,
         )
     return node_impact_tiebreak(
-        candidates, problem, d, hstate.impacts, scheme, policy, hstate, stats,
-        deadline=deadline,
+        candidates, problem, d, scheme, policy, hstate, stats, deadline=deadline,
     )
 
 
@@ -369,8 +372,7 @@ def _lookahead(problem, d, x, keep, scheme, policy, hstate, stats, deadline):
                 removed += 1
         p_before = space_product(problem, d, hstate.assigned, exclude=x)
         if not propagate(
-            problem, d, scheme, policy,
-            update_queue(problem, scheme, x, removed),
+            problem, d, policy, update_queue(problem, scheme, x, removed),
             hstate, stats, update_weights=False, deadline=deadline,
         ).consistent:
             return False, p_before, 0
@@ -382,14 +384,13 @@ def _lookahead(problem, d, x, keep, scheme, policy, hstate, stats, deadline):
 def init_impacts(
     problem: Problem,
     d: DomainStore,
-    store: ImpactStore,
     scheme: str,
     policy: str,
     hstate: HeuristicState,
     stats,
     deadline: float = math.inf,
 ) -> bool:
-    """Initialize impacts by probing contiguous sub-domains of every variable.
+    """Initialize hstate.impacts by probing contiguous sub-domains of every variable.
 
     Each part is propagated in isolation and restored; a part that wipes out
     records impact 1 for its values. Returns False when every part of some
@@ -405,7 +406,7 @@ def init_impacts(
             )
             live_parts += ok
             for a in part:
-                observe_impact(store, x, a, p_before, p_after)
+                observe_impact(hstate.impacts, x, a, p_before, p_after)
         if live_parts == 0:
             return False
     return True
@@ -449,7 +450,6 @@ def node_impact_tiebreak(
     candidates: list[str],
     problem: Problem,
     d: DomainStore,
-    store: ImpactStore | None,
     scheme: str,
     policy: str,
     hstate: HeuristicState,
@@ -458,11 +458,12 @@ def node_impact_tiebreak(
 ) -> str | None:
     """Break ties with exact impacts measured at this node.
 
-    Every candidate value is probed, and its impact recorded in the store if
-    there is one; values that wipe out are pruned from the real domain (None
+    Every candidate value is probed, and its impact recorded in hstate.impacts
+    if there is one; values that wipe out are pruned from the real domain (None
     on an emptied candidate). The candidate with the smallest summed residual
     (1 - impact) wins, first-listed on ties.
     """
+    store = hstate.impacts
 
     def residual(x, a, p_before, p_after):
         if store is None:
@@ -506,21 +507,20 @@ def random_probe(
     problem: Problem,
     d: DomainStore,
     cfg: ProbeConfig,
-    weights: WeightStore,
     hstate: HeuristicState,
     scheme: str,
     policy: str,
     stats,
     deadline: float = math.inf,
-) -> tuple[WeightStore, tuple[str, dict | None] | None]:
-    """Run short randomized probes to warm up the conflict weights.
+) -> tuple[str, dict | None] | None:
+    """Run short randomized probes to warm up the conflict weights, hstate.weights.
 
     Each probe is a run of the d-way search loop with uniformly random
     variable selection and value order, cut off once cfg.failures wipeouts
     have been seen. Weights accumulate across probes under the active update
-    policy. Returns the store plus a definitive ("sat", assignment) or
-    ("unsat", None) result when a probe happens to settle the instance, else
-    None.
+    policy. Returns a definitive ("sat", assignment) or ("unsat", None) when a
+    probe happens to settle the instance, else None. The search loop checks
+    the deadline before each node, so a passed one raises TimeoutError.
     """
     from .search import CUTOFF, LEAF, dway_search  # search imports this module
 
@@ -543,16 +543,16 @@ def random_probe(
         return stats.dwos - dwos_at_start >= cfg.failures
 
     for _ in range(cfg.runs):
-        if time.monotonic() >= deadline:
-            raise TimeoutError
         dwos_at_start = stats.dwos
+        # records no impacts: solve builds a store only for the impact base,
+        # which takes no +probe
         result = dway_search(
             problem, d, scheme, policy, hstate, stats, deadline,
             choose, values, leaf, failed,
         )
         if result == LEAF:
-            return weights, ("sat", solution)
+            return "sat", solution
         # a wipeout refuting the root's last value gets no failed() call
         if result != CUTOFF and not failed():
-            return weights, ("unsat", None)
-    return weights, None
+            return "unsat", None
+    return None

@@ -162,7 +162,7 @@ def check_tuple(constraint: Constraint, values: tuple[int, ...], stats) -> bool:
     return constraint.test(values)
 
 
-def seek_support(problem: Problem, d: "DomainStore", c: Constraint, x: str, a: int, stats) -> bool:
+def seek_support(d: "DomainStore", c: Constraint, x: str, a: int, stats) -> bool:
     """Search a supporting tuple for x=a on c over the other variables' current domains.
 
     Enumeration is lexicographic over current domain order, in scope order, so
@@ -198,7 +198,6 @@ class DomainStore:
     """
 
     def __init__(self, problem: Problem):
-        self.problem = problem
         self._values: dict[str, list[int]] = {
             x: list(problem.domains[x]) for x in problem.variables
         }

@@ -93,7 +93,8 @@ class RevisionQueue:
     """Duplicate-free pending set in FIFO insertion order, plus ctr counters.
 
     ctr maps (constraint id, variable) to the number of values removed from
-    that variable's domain since the constraint was last processed.
+    that variable's domain since the constraint was last processed. Only the
+    variable and constraint schemes keep it; arc queues leave it empty.
     """
 
     def __init__(self, kind: str):
@@ -145,15 +146,16 @@ def needs_not_be_revised(q: RevisionQueue, c: Constraint, x: str) -> bool:
 
 
 def initial_queue(problem: Problem, scheme: str) -> RevisionQueue:
-    """Preprocessing seeds: every element, all ctr counters set to 1."""
+    """Preprocessing seeds: every element, and every ctr counter set to 1."""
     q = RevisionQueue(scheme)
     for c in problem.constraints:
         if scheme == "constraint":
             q.add(c.id)
         for x in c.scope:
-            q.ctr[(c.id, x)] = 1
             if scheme == "arc":
                 q.add((c.id, x))
+            else:
+                q.ctr[(c.id, x)] = 1
     if scheme == "variable":
         for x in problem.variables:
             q.add(x)
@@ -164,8 +166,8 @@ def _requeue(problem: Problem, q: RevisionQueue, x: str, removed: int, skip=None
     """Queue what losing `removed` values of D(x) can make revisable.
 
     Covers every constraint on x except `skip` (the one that removed them):
-    its other arcs, x itself, or the constraint, per the queue kind; x's ctr
-    entries on those constraints grow by `removed`.
+    its other arcs, x itself, or the constraint, per the queue kind. Outside
+    the arc scheme, x's ctr entries on those constraints grow by `removed`.
     """
     kind = q.kind
     for c in problem.constraints_on[x]:
@@ -175,7 +177,8 @@ def _requeue(problem: Problem, q: RevisionQueue, x: str, removed: int, skip=None
             for z in c.scope:
                 if z != x:
                     q.add((c.id, z))
-        elif kind == "constraint":
+            continue
+        if kind == "constraint":
             q.add(c.id)
         q.bump(c.id, x, removed)
     if kind == "variable":
@@ -185,9 +188,9 @@ def _requeue(problem: Problem, q: RevisionQueue, x: str, removed: int, skip=None
 def update_queue(problem: Problem, scheme: str, x: str, removed: int) -> RevisionQueue:
     """Seeds after removing `removed` values from D(x) at a search node.
 
-    Only elements involving x are queued and only x's ctr entries are primed,
-    set to the removal count. A zero removal count leaves the previous
-    fixpoint intact, so the queue stays empty.
+    Only elements involving x are queued and only x's ctr entries are primed
+    (outside the arc scheme), set to the removal count. A zero removal count
+    leaves the previous fixpoint intact, so the queue stays empty.
     """
     q = RevisionQueue(scheme)
     if removed > 0:
@@ -195,11 +198,11 @@ def update_queue(problem: Problem, scheme: str, x: str, removed: int) -> Revisio
     return q
 
 
-def revise(problem: Problem, d: DomainStore, c: Constraint, x: str, stats) -> int:
+def revise(d: DomainStore, c: Constraint, x: str, stats) -> int:
     """Remove the values of x without support on c; returns the removal count."""
     removed = 0
     for a in d.current(x):
-        if not seek_support(problem, d, c, x, a, stats):
+        if not seek_support(d, c, x, a, stats):
             d.remove(x, a)
             removed += 1
     return removed
@@ -224,7 +227,6 @@ def select_next(problem: Problem, q: RevisionQueue, policy: str, d: DomainStore,
 def propagate(
     problem: Problem,
     d: DomainStore,
-    scheme: str,
     policy: str,
     queue: RevisionQueue,
     hstate=None,
@@ -234,15 +236,14 @@ def propagate(
 ) -> PropagationOutcome:
     """Run the queue to fixpoint or to the first domain wipeout.
 
-    The revisions counter r advances once per queue selection and the check
+    The scheme is the queue's kind, and policy must fit it. The revisions counter r advances once per queue selection and the check
     counter advances inside check_tuple. Weight-update events (fruitful
     revisions, DWOs) are forwarded to hstate.weights unless update_weights is
     False (lookahead probing must not touch weights). Raises TimeoutError
     when a selection would start past the deadline.
     """
+    scheme = queue.kind
     validate_policy(scheme, policy)
-    if queue.kind != scheme:
-        raise ValueError(f"queue kind {queue.kind!r} does not match scheme {scheme!r}")
     if hstate is None:
         from .heuristics import HeuristicState, WeightStore  # heuristics imports this module
 
@@ -281,7 +282,7 @@ def propagate(
         if arc:
             cid, x = elem
             c = problem.by_id[cid]
-            removed = revise(problem, d, c, x, stats)
+            removed = revise(d, c, x, stats)
             if removed > 0 and (wiped := revised(c, x, removed)):
                 return wiped
             continue
@@ -298,7 +299,7 @@ def propagate(
             for y in c.scope:
                 if needs_not_be_revised(queue, c, y):
                     continue
-                removed = revise(problem, d, c, y, stats)
+                removed = revise(d, c, y, stats)
                 if removed > 0 and (wiped := revised(c, y, removed)):
                     return wiped
             # c is now fully propagated: clear its pending-removal counters

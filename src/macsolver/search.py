@@ -55,7 +55,10 @@ def next_cutoff(policy, run_index: int) -> int | None:
     if policy is None:
         return None
     if isinstance(policy, GeometricRestarts):
-        return math.floor(policy.base * policy.factor**run_index)
+        try:  # past the float range the cutoff is unlimited
+            return math.floor(policy.base * policy.factor**run_index)
+        except OverflowError:
+            return None
     if isinstance(policy, ArithmeticRestarts):
         return policy.base + policy.step * run_index
     raise TypeError(f"unknown restart policy {policy!r}")
@@ -144,7 +147,7 @@ LEAF, EXHAUSTED, CUTOFF = "leaf", "exhausted", "cutoff"
 
 def dway_search(
     problem, d, scheme, policy, hstate, stats, deadline,
-    choose, values, leaf, failed, impacts=None,
+    choose, values, leaf, failed,
 ) -> str:
     """Depth-first d-way MAC search from the current state of d, without recursion.
 
@@ -153,13 +156,14 @@ def dway_search(
     Once every variable is assigned, leaf(assignment) says whether to stop.
     After each value whose subtree failed, failed() says whether to cut the
     run off; otherwise the value is refuted (removed and propagated) and the
-    next one is tried. With an impact store every assignment records its
-    observed impact.
+    next one is tried. With an impact store in hstate every assignment records
+    its observed impact.
 
     Returns LEAF, EXHAUSTED or CUTOFF, and leaves d and hstate.assigned as it
     found them. Raises TimeoutError when a node or a propagation's queue
     selection would start past the deadline.
     """
+    impacts = hstate.impacts
     root = d.mark()
     assignment: dict[str, int] = {}
     stack: list[list] = []  # per open node: [x, untried values, value, mark]
@@ -187,8 +191,7 @@ def dway_search(
                     return CUTOFF
                 d.remove(x, a)
                 if d.size(x) == 0 or not propagate(
-                    problem, d, scheme, policy,
-                    update_queue(problem, scheme, x, 1),
+                    problem, d, policy, update_queue(problem, scheme, x, 1),
                     hstate, stats, deadline=deadline,
                 ).consistent:
                     stack.pop()
@@ -210,8 +213,7 @@ def dway_search(
             if impacts is not None:
                 p_before = space_product(problem, d, hstate.assigned)
             out = propagate(
-                problem, d, scheme, policy,
-                update_queue(problem, scheme, x, removed),
+                problem, d, policy, update_queue(problem, scheme, x, removed),
                 hstate, stats, deadline=deadline,
             )
             if impacts is not None:
@@ -266,18 +268,17 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
     definitive = None
     try:
         if not propagate(
-            problem, d, cfg.scheme, cfg.policy, initial_queue(problem, cfg.scheme),
+            problem, d, cfg.policy, initial_queue(problem, cfg.scheme),
             hstate, stats, deadline=deadline,
         ).consistent:
             return finish("unsat")
         if heur.base == "impact" and not init_impacts(
-            problem, d, impacts, cfg.scheme, cfg.policy, hstate, stats,
-            deadline=deadline,
+            problem, d, cfg.scheme, cfg.policy, hstate, stats, deadline=deadline,
         ):
             return finish("unsat")
         if heur.probing is not None:
-            _, definitive = random_probe(
-                problem, d, heur.probing, weights, hstate,
+            definitive = random_probe(
+                problem, d, heur.probing, hstate,
                 cfg.scheme, cfg.policy, stats, deadline=deadline,
             )
     except TimeoutError:
@@ -325,7 +326,7 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
         try:
             result = dway_search(
                 problem, d, cfg.scheme, cfg.policy, hstate, stats, deadline,
-                choose, values, leaf, failed, impacts,
+                choose, values, leaf, failed,
             )
         except TimeoutError:
             return finish("timeout")

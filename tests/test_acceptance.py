@@ -74,7 +74,7 @@ def test_criterion_01_fixpoint_equivalence():
         wipeouts += want is None
         for scheme, policy in ALL_COMBOS:
             store = DomainStore(p)
-            out = propagate(p, store, scheme, policy, initial_queue(p, scheme))
+            out = propagate(p, store, policy, initial_queue(p, scheme))
             if want is None:
                 assert not out.consistent, (seed, scheme, policy)
             else:
@@ -213,7 +213,7 @@ def test_criterion_04_first_blamed_constraint():
         q = RevisionQueue("arc")
         for elem in order:
             q.add(elem)
-        out = propagate(p, d, "arc", "fifo", q, HeuristicState(p, ws))
+        out = propagate(p, d, "fifo", q, HeuristicState(p, ws))
         assert not out.consistent
         assert ws.snapshot() == {blamed: 2, spared: 1}
     print(
@@ -267,7 +267,7 @@ def test_criterion_07_impact_machinery():
         d = DomainStore(p)
         store = ImpactStore()
         hstate = HeuristicState(p, WeightStore(p, "wdeg"), store)
-        ok = init_impacts(p, d, store, "variable", "fifo", hstate, Stats())
+        ok = init_impacts(p, d, "variable", "fifo", hstate, Stats())
         if not ok:
             continue
         exercised += 1

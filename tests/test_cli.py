@@ -118,6 +118,37 @@ def test_bench_rejects_a_nan_timeout_before_any_run(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_a_geometric_cutoff_past_the_float_range_runs_unlimited(capsys):
+    code, out, err = run(
+        capsys, "solve", "langford:k=2,n=5", "--mode", "decide", "--restart", "geo:2:1e308"
+    )
+    assert code == 1, err
+    assert "result: unsat" in out
+    assert "restarts: 1" in out
+
+
+def test_a_second_tiebreak_suffix_exits_three(capsys):
+    code, out, err = run(capsys, "solve", "queens:n=4", "--var", "dom+rsc+nodeimpact")
+    assert code == 3
+    assert "result:" not in out
+    assert "second tie-break" in err and "internal" not in err
+
+
+def test_bench_builds_every_configuration_before_the_first_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("macsolver.harness.solve", lambda *args: calls.append(args))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"instances": ["queens:n=4", "queens:n=5"], "var_heurs": ["dom", "nosuch"]}
+    ))
+    out_path = tmp_path / "rows.csv"
+    code, _, err = run(capsys, "bench", str(spec_path), "--out", str(out_path))
+    assert code == 3
+    assert "unknown heuristic 'nosuch'" in err
+    assert not out_path.exists()
+    assert calls == []
+
+
 def test_deep_chain_solves_exit_zero(tmp_path, capsys):
     path = tmp_path / "chain.json"
     path.write_text(dump_problem(ne_chain(1200)))

@@ -66,6 +66,21 @@ def test_experiment_spec_validation():
         ExperimentSpec(instances=("queens:n=4",), var_heurs=())
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"schemes": ("arcs",)}, "unknown propagation scheme 'arcs'"),
+        ({"rev_policies": ("nosuch",)}, "'nosuch' fits none of the schemes"),
+        ({"schemes": ("arc",), "rev_policies": ("v_wdeg",)}, "'v_wdeg' fits none"),
+        ({"seeds": ()}, "'seeds' must not be empty"),
+        ({"restarts": ()}, "'restarts' must not be empty"),
+    ],
+)
+def test_experiment_spec_rejects_a_sweep_that_runs_nothing(extra, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(instances=("queens:n=4",), var_heurs=("dom",), **extra)
+
+
 def test_experiment_spec_from_json():
     spec = ExperimentSpec.from_json(
         json.dumps(

@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from macsolver import propagation
+from macsolver import heuristics, propagation
 from macsolver.heuristics import (
     Deletions,
     Dwo,
@@ -94,6 +94,24 @@ def test_parse_heuristic():
         parse_heuristic("nosuch")
     with pytest.raises(ValueError):
         parse_heuristic("dom+nosuch")
+
+
+@pytest.mark.parametrize(
+    "name", ["dom+rsc+nodeimpact", "impact+nodeimpact+rsc", "dom+rsc+rsc", "dom/wdeg+probe+probe"]
+)
+def test_parse_heuristic_rejects_a_repeated_suffix_or_second_tiebreak(name):
+    with pytest.raises(ValueError, match="repeated suffix or second tie-break"):
+        parse_heuristic(name)
+
+
+@pytest.mark.parametrize("name", ["dom+", "dom++rsc", "dom/wdeg+rsc+"])
+def test_parse_heuristic_rejects_an_empty_suffix(name):
+    with pytest.raises(ValueError, match="unknown heuristic suffix ''"):
+        parse_heuristic(name)
+
+
+def test_parse_heuristic_suffix_order_is_free():
+    assert parse_heuristic("dom/wdeg+rsc+probe") == parse_heuristic("dom/wdeg+probe+rsc")
 
 
 def test_heuristic_name_roundtrip():
@@ -411,7 +429,7 @@ def test_init_impacts_consistent():
     d = DomainStore(p)
     store = ImpactStore()
     hstate = fresh_state(p, impacts=store)
-    ok = init_impacts(p, d, store, "variable", "fifo", hstate, Stats())
+    ok = init_impacts(p, d, "variable", "fifo", hstate, Stats())
     assert ok
     for x in p.variables:
         for a in d.current(x):
@@ -434,15 +452,15 @@ def test_init_impacts_detects_inconsistency():
     d = DomainStore(p)
     store = ImpactStore()
     hstate = fresh_state(p, impacts=store)
-    assert init_impacts(p, d, store, "variable", "fifo", hstate, Stats()) is False
+    assert init_impacts(p, d, "variable", "fifo", hstate, Stats()) is False
 
 
 def test_init_impacts_never_touches_weights():
     p = gen_model_d(n=6, d=4, e=9, t=0.5, seed=11)
     d = DomainStore(p)
-    hstate = fresh_state(p)
+    hstate = fresh_state(p, impacts=ImpactStore())
     before = hstate.weights.snapshot()
-    init_impacts(p, d, ImpactStore(), "variable", "fifo", hstate, Stats())
+    init_impacts(p, d, "variable", "fifo", hstate, Stats())
     assert hstate.weights.snapshot() == before
 
 
@@ -455,14 +473,13 @@ def test_weights_never_decrease():
         from macsolver.propagation import initial_queue, propagate, update_queue
 
         d = DomainStore(p)
-        propagate(p, d, "variable", "fifo", initial_queue(p, "variable"), hstate)
+        propagate(p, d, "fifo", initial_queue(p, "variable"), hstate)
         for x in p.variables:
             if d.size(x) > 1:
                 mark = d.mark()
                 removed = d.assign(x, d.current(x)[0])
                 propagate(
-                    p, d, "variable", "fifo",
-                    update_queue(p, "variable", x, removed), hstate,
+                    p, d, "fifo", update_queue(p, "variable", x, removed), hstate,
                 )
                 d.restore(mark)
                 cur = ws.snapshot()
@@ -484,8 +501,8 @@ def test_random_probe_deterministic():
     results = []
     for _ in range(2):
         d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
-        out_ws, definitive = random_probe(p, d, cfg, ws, hstate, "variable", "fifo", s)
-        results.append((out_ws.snapshot(), definitive, s.tuple()))
+        definitive = random_probe(p, d, cfg, hstate, "variable", "fifo", s)
+        results.append((ws.snapshot(), definitive, s.tuple()))
     assert results[0] == results[1]
     assert results[0][2][0] > 0  # probe attempts count as nodes
 
@@ -494,7 +511,7 @@ def test_random_probe_pinned_counters():
     # exact counters: the benchmark never runs random probing
     p = gen_queens(6)
     d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
-    _, definitive = random_probe(p, d, cfg, ws, hstate, "variable", "fifo", s)
+    definitive = random_probe(p, d, cfg, hstate, "variable", "fifo", s)
     assert definitive == ("sat", {"q0": 3, "q1": 0, "q2": 4, "q3": 1, "q4": 5, "q5": 2})
     assert {c: w for c, w in ws.snapshot().items() if w > 1} == {"c3": 2}
     assert s.tuple() == (7, 461, 18, 1)
@@ -504,7 +521,7 @@ def test_random_probe_pinned_cutoffs():
     # every run of an unsat instance ends at the failure cutoff
     p = gen_langford(2, 5)
     d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
-    _, definitive = random_probe(p, d, cfg, ws, hstate, "variable", "fifo", s)
+    definitive = random_probe(p, d, cfg, hstate, "variable", "fifo", s)
     assert definitive is None
     assert {c: w for c, w in ws.snapshot().items() if w > 1} == {
         "c2": 2, "c3": 2, "c6": 3, "c7": 2, "c12": 2, "c16": 2, "c18": 2,
@@ -519,7 +536,7 @@ def test_random_probe_pinned_cutoffs():
 def test_random_probe_restores_state():
     p = gen_queens(5)
     d, ws, hstate, s, cfg = probe_setup(p, seed=1, failures=3, runs=4)
-    random_probe(p, d, cfg, ws, hstate, "variable", "fifo", s)
+    random_probe(p, d, cfg, hstate, "variable", "fifo", s)
     assert all(d.size(x) == len(p.domains[x]) for x in p.variables)
     assert hstate.assigned == set()
 
@@ -538,7 +555,7 @@ def test_random_probe_definitive_unsat():
         ),
     )
     d, ws, hstate, s, cfg = probe_setup(p, seed=0)
-    _, definitive = random_probe(p, d, cfg, ws, hstate, "variable", "fifo", s)
+    definitive = random_probe(p, d, cfg, hstate, "variable", "fifo", s)
     assert definitive == ("unsat", None)
 
 
@@ -551,7 +568,7 @@ def test_random_probe_definitive_sat():
         constraints=(pred("c", ("x", "y"), "ne"),),
     )
     d, ws, hstate, s, cfg = probe_setup(p, seed=0)
-    _, definitive = random_probe(p, d, cfg, ws, hstate, "variable", "fifo", s)
+    definitive = random_probe(p, d, cfg, hstate, "variable", "fifo", s)
     assert definitive is not None
     kind, assignment = definitive
     assert kind == "sat"
@@ -561,11 +578,30 @@ def test_random_probe_definitive_sat():
 def test_random_probe_accumulates_weights():
     p = gen_model_d(n=8, d=3, e=16, t=0.6, seed=21)
     d, ws, hstate, s, cfg = probe_setup(p, seed=5, failures=5, runs=10)
-    out_ws, definitive = random_probe(p, d, cfg, ws, hstate, "variable", "fifo", s)
-    snap = out_ws.snapshot()
+    definitive = random_probe(p, d, cfg, hstate, "variable", "fifo", s)
+    snap = ws.snapshot()
     assert all(w >= 1 for w in snap.values())
     if definitive is None or definitive[0] == "unsat":
         assert sum(snap.values()) > len(snap)  # some conflict was recorded
+
+
+def test_random_probe_reads_no_clock(monkeypatch):
+    # the search loop's per-node check is the only deadline check
+    def no_clock():
+        raise AssertionError("random_probe read the clock")
+
+    monkeypatch.setattr(heuristics, "time", types.SimpleNamespace(monotonic=no_clock))
+    p = gen_langford(2, 5)
+    d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
+    assert random_probe(p, d, cfg, hstate, "variable", "fifo", s) is None
+    assert s.tuple() == (31, 12784, 287, 24)
+    # a passed deadline still raises before the first probe node
+    d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
+    with pytest.raises(TimeoutError):
+        random_probe(
+            p, d, cfg, hstate, "variable", "fifo", s, deadline=time.monotonic() - 1.0
+        )
+    assert s.tuple() == (0, 0, 0, 0)
 
 
 def test_random_probe_deadline():
@@ -573,20 +609,20 @@ def test_random_probe_deadline():
     d, ws, hstate, s, cfg = probe_setup(p, seed=0)
     with pytest.raises(TimeoutError):
         random_probe(
-            p, d, cfg, ws, hstate, "variable", "fifo", s,
+            p, d, cfg, hstate, "variable", "fifo", s,
             deadline=time.monotonic() - 1.0,
         )
 
 
 PROBES = {
     "init_impacts": lambda p, d, hs, s, dl: init_impacts(
-        p, d, hs.impacts, "variable", "fifo", hs, s, deadline=dl
+        p, d, "variable", "fifo", hs, s, deadline=dl
     ),
     "rsc_tiebreak": lambda p, d, hs, s, dl: rsc_tiebreak(
         list(p.variables), p, d, "variable", "fifo", hs, s, dl
     ),
     "node_impact_tiebreak": lambda p, d, hs, s, dl: node_impact_tiebreak(
-        list(p.variables), p, d, hs.impacts, "variable", "fifo", hs, s, dl
+        list(p.variables), p, d, "variable", "fifo", hs, s, dl
     ),
 }
 

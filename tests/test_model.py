@@ -131,15 +131,19 @@ def test_table_semantics():
     assert check_tuple(fb, (1, 2), s) and not check_tuple(fb, (2, 2), s)
 
 
+def test_domain_store_keeps_no_problem():
+    assert not hasattr(DomainStore(make_problem()), "problem")
+
+
 def test_seek_support_binary():
     p = make_problem()
     d = DomainStore(p)
     c = p.constraints[0]  # x < y
     s = Stats()
-    assert seek_support(p, d, c, "x", 1, s) is True
-    assert seek_support(p, d, c, "x", 3, s) is False
-    assert seek_support(p, d, c, "y", 1, s) is False
-    assert seek_support(p, d, c, "y", 3, s) is True
+    assert seek_support(d, c, "x", 1, s) is True
+    assert seek_support(d, c, "x", 3, s) is False
+    assert seek_support(d, c, "y", 1, s) is False
+    assert seek_support(d, c, "y", 3, s) is True
     assert s.checks > 0
 
 
@@ -150,7 +154,7 @@ def test_seek_support_respects_current_domain():
     d.remove("y", 2)
     d.remove("y", 3)
     s = Stats()
-    assert seek_support(p, d, c, "x", 1, s) is False  # only y=1 left
+    assert seek_support(d, c, "x", 1, s) is False  # only y=1 left
 
 
 def test_seek_support_nary():
@@ -168,8 +172,8 @@ def test_seek_support_nary():
     )
     d = DomainStore(p)
     s = Stats()
-    assert seek_support(p, d, c, "z", 2, s) is True
-    assert seek_support(p, d, c, "z", 1, s) is False
+    assert seek_support(d, c, "z", 2, s) is True
+    assert seek_support(d, c, "z", 1, s) is False
 
 
 def test_domain_store_basics():

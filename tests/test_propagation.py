@@ -47,9 +47,7 @@ def chain_problem():
 
 def run_to_fixpoint(problem, scheme, policy, hstate=None, stats=None):
     d = DomainStore(problem)
-    out = propagate(
-        problem, d, scheme, policy, initial_queue(problem, scheme), hstate, stats
-    )
+    out = propagate(problem, d, policy, initial_queue(problem, scheme), hstate, stats)
     return d, out
 
 
@@ -57,9 +55,9 @@ def test_revise_removes_unsupported():
     p = chain_problem()
     d = DomainStore(p)
     s = Stats()
-    assert revise(p, d, p.by_id["cxy"], "x", s) == 1  # x=3 has no y above it
+    assert revise(d, p.by_id["cxy"], "x", s) == 1  # x=3 has no y above it
     assert sorted(d.current("x")) == [1, 2]
-    assert revise(p, d, p.by_id["cxy"], "x", s) == 0  # already supported
+    assert revise(d, p.by_id["cxy"], "x", s) == 0  # already supported
 
 
 @pytest.mark.parametrize("scheme,policy", ALL_COMBOS)
@@ -83,7 +81,7 @@ def test_propagate_counts_revisions_and_dwos():
 def test_propagate_idempotent():
     p = chain_problem()
     d, out = run_to_fixpoint(p, "variable", "fifo")
-    again = propagate(p, d, "variable", "fifo", initial_queue(p, "variable"))
+    again = propagate(p, d, "fifo", initial_queue(p, "variable"))
     assert again.consistent
     assert again.removed == 0
     assert again.fruitful == frozenset()
@@ -164,11 +162,13 @@ def test_initial_queue_seeds_everything():
         ("cyz", "y"),
         ("cyz", "z"),
     }
-    assert all(q.ctr_of(c.id, x) == 1 for c in p.constraints for x in c.scope)
+    assert not q.ctr  # the arc scheme reads no ctr
     qv = initial_queue(p, "variable")
     assert qv.elements() == ["x", "y", "z"]
     qc = initial_queue(p, "constraint")
     assert qc.elements() == ["cxy", "cyz"]
+    for q in (qv, qc):
+        assert all(q.ctr_of(c.id, x) == 1 for c in p.constraints for x in c.scope)
 
 
 def test_update_queue_seeds_touched_cone():
@@ -176,13 +176,15 @@ def test_update_queue_seeds_touched_cone():
     q = update_queue(p, "arc", "y", 2)
     # only the other variables of y's constraints are queued
     assert set(q.elements()) == {("cxy", "x"), ("cyz", "z")}
-    assert q.ctr_of("cxy", "y") == 2
-    assert q.ctr_of("cyz", "y") == 2
-    assert q.ctr_of("cxy", "x") == 0
-    qv = update_queue(p, "variable", "y", 1)
+    assert not q.ctr  # the arc scheme reads no ctr
+    qv = update_queue(p, "variable", "y", 2)
     assert qv.elements() == ["y"]
-    qc = update_queue(p, "constraint", "y", 1)
+    qc = update_queue(p, "constraint", "y", 2)
     assert qc.elements() == ["cxy", "cyz"]
+    for q in (qv, qc):
+        assert q.ctr_of("cxy", "y") == 2
+        assert q.ctr_of("cyz", "y") == 2
+        assert q.ctr_of("cxy", "x") == 0
 
 
 def test_update_queue_zero_removals_is_noop():
@@ -211,7 +213,7 @@ def test_propagate_rejects_mismatched_queue():
     p = chain_problem()
     d = DomainStore(p)
     with pytest.raises(ValueError):
-        propagate(p, d, "arc", "fifo", initial_queue(p, "variable"))
+        propagate(p, d, "a_wdeg", initial_queue(p, "variable"))
 
 
 class DictWeights:
@@ -385,7 +387,7 @@ def test_default_state_is_a_fresh_heuristic_state(scheme, policy):
             (None, None),
         ):
             d = DomainStore(p)
-            out = propagate(p, d, scheme, policy, initial_queue(p, scheme), hstate, stats)
+            out = propagate(p, d, policy, initial_queue(p, scheme), hstate, stats)
             runs.append((out, {x: d.current(x) for x in p.variables}))
         assert runs[0] == runs[1] == runs[2], seed
 
@@ -412,7 +414,7 @@ def test_first_revised_constraint_takes_the_blame():
         q = RevisionQueue("arc")
         for elem in order:
             q.add(elem)
-        out = propagate(p, d, "arc", "fifo", q, hstate)
+        out = propagate(p, d, "fifo", q, hstate)
         assert not out.consistent
         assert out.dwo_constraint == blamed
         assert ws.get(blamed) == 2
@@ -425,7 +427,7 @@ def test_update_weights_false_freezes_store():
     ws = WeightStore(p, "wdeg")
     hstate = HeuristicState(p, ws)
     out = propagate(
-        p, d, "arc", "fifo", initial_queue(p, "arc"), hstate, update_weights=False
+        p, d, "fifo", initial_queue(p, "arc"), hstate, update_weights=False
     )
     assert not out.consistent
     assert ws.snapshot() == {"c12": 1, "c56": 1}
@@ -459,7 +461,7 @@ def test_fixpoint_matches_reference(scheme, policy):
         p = gen_model_d(n=n, d=d_size, e=e, t=0.45, seed=seed)
         want = ac_fixpoint(p)
         store = DomainStore(p)
-        out = propagate(p, store, scheme, policy, initial_queue(p, scheme))
+        out = propagate(p, store, policy, initial_queue(p, scheme))
         if want is None:
             assert not out.consistent, seed
         else:
@@ -472,7 +474,7 @@ def test_removed_totals_match_domain_shrinkage():
     p = gen_model_d(n=8, d=5, e=12, t=0.5, seed=3)
     d = DomainStore(p)
     before = sum(d.size(x) for x in p.variables)
-    out = propagate(p, d, "variable", "fifo", initial_queue(p, "variable"))
+    out = propagate(p, d, "fifo", initial_queue(p, "variable"))
     after = sum(d.size(x) for x in p.variables)
     if out.consistent:
         assert before - after == out.removed
@@ -484,7 +486,7 @@ def test_passed_deadline_stops_before_the_first_revision(scheme, policy):
     s = Stats()
     with pytest.raises(TimeoutError):
         propagate(
-            p, DomainStore(p), scheme, policy, initial_queue(p, scheme),
+            p, DomainStore(p), policy, initial_queue(p, scheme),
             stats=s, deadline=time.monotonic() - 1.0,
         )
     assert (s.checks, s.revisions, s.dwos) == (0, 0, 0)
@@ -499,6 +501,6 @@ def test_deadline_checked_once_per_selection(scheme, monkeypatch):
     p = gen_model_d(n=8, d=4, e=14, t=0.3, seed=1)
     s = Stats()
     with pytest.raises(TimeoutError):
-        propagate(p, DomainStore(p), scheme, POLICIES_BY_SCHEME[scheme][0],
+        propagate(p, DomainStore(p), POLICIES_BY_SCHEME[scheme][0],
                   initial_queue(p, scheme), stats=s, deadline=3)
     assert s.revisions == 3

@@ -50,6 +50,12 @@ def test_no_restarts_schedule():
         next_cutoff("geo", 0)
 
 
+def test_geometric_cutoff_past_the_float_range_is_unlimited():
+    assert next_cutoff(GeometricRestarts(base=10, factor=10.0), 400) is None
+    assert next_cutoff(GeometricRestarts(base=2, factor=1e308), 1) is None
+    assert next_cutoff(GeometricRestarts(base=2, factor=1e308), 0) == 2
+
+
 def test_restart_validation():
     with pytest.raises(ValueError):
         GeometricRestarts(base=0)
