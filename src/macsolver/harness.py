@@ -89,8 +89,14 @@ class ExperimentSpec:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            if f.name != "timeout" and not getattr(self, f.name):
+            if f.name == "timeout":
+                continue
+            values = getattr(self, f.name)
+            if not values:
                 raise ValueError(f"experiment field {f.name!r} must not be empty")
+            if len(set(values)) < len(values):
+                repeated = next(v for v in values if values.count(v) > 1)
+                raise ValueError(f"repeated entry {repeated!r} in experiment field {f.name!r}")
         for scheme in self.schemes:
             if scheme not in POLICIES_BY_SCHEME:
                 raise ValueError(f"unknown propagation scheme {scheme!r}")
@@ -136,8 +142,9 @@ def load_instance(source: str) -> model.Problem:
 def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run the full cross product and return rows in deterministic order.
 
-    Every configuration is built before the first run, so a bad heuristic or
-    restart name fails the sweep before anything is solved. Scheme/policy
+    Every configuration is built and every instance loaded before the first
+    run, so a bad heuristic or restart name or an unreadable instance fails
+    the sweep before anything is solved. Scheme/policy
     pairs that do not fit are skipped with a warning. Random value-order
     configs get one row per seed plus an averaged row.
     """
@@ -160,9 +167,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
         )
         if rev in POLICIES_BY_SCHEME[scheme]
     ]
+    problems = [load_instance(source) for source in spec.instances]
     rows: list[ResultRow] = []
-    for source in spec.instances:
-        problem = load_instance(source)
+    for problem in problems:
         for var_heur, restart, cfgs in plan:
             group = []
             for cfg in cfgs:

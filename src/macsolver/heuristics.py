@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .model import DomainStore, Problem
+from .model import DomainStore, Problem, SearchStats
 from .propagation import dom_ratio, propagate, update_queue
 
 
@@ -216,6 +216,34 @@ class HeuristicState:
         return sum(1 for c in self.problem.constraints_on[x] if self.qualified(c, x))
 
 
+@dataclass(frozen=True)
+class SearchContext:
+    """Per-solve setting of the search and its lookahead probes.
+
+    The problem is read from hstate.problem, so it keeps one owner.
+    """
+
+    d: DomainStore
+    hstate: HeuristicState
+    stats: SearchStats | None
+    scheme: str
+    policy: str
+    deadline: float = math.inf
+
+    def propagate_from(self, x: str, removed: int, update_weights: bool = True) -> bool:
+        """Propagate the loss of `removed` values of D(x); False on a wipeout.
+
+        update_weights=False keeps the conflict weights untouched (lookahead
+        probes). Raises TimeoutError when a queue selection would start past
+        the deadline.
+        """
+        problem = self.hstate.problem
+        return propagate(
+            problem, self.d, self.policy, update_queue(problem, self.scheme, x, removed),
+            self.hstate, self.stats, update_weights, self.deadline,
+        ).consistent
+
+
 def score_variable(h: VOHeuristic, x: str, problem: Problem, d: DomainStore, hstate: HeuristicState):
     """Score one unassigned variable; smaller is preferred.
 
@@ -246,27 +274,19 @@ def _mdvo_score(h: VOHeuristic, x: str, problem: Problem, d: DomainStore) -> flo
     return total / (len(gamma) ** 2)
 
 
-def select_variable(
-    h: VOHeuristic,
-    problem: Problem,
-    d: DomainStore,
-    hstate: HeuristicState,
-    stats=None,
-    scheme: str = "variable",
-    policy: str = "fifo",
-    deadline: float = math.inf,
-) -> str | None:
+def select_variable(ctx: SearchContext, h: VOHeuristic) -> str | None:
     """Pick the next unassigned variable, or None when a tie-break probe wipes out.
 
-    The candidate set is the argmin of the base score; ties go to the
-    configured tie-break (declaration order for "lexico"). Probing tie-breaks
-    only run when more than one candidate is tied, and raise TimeoutError
-    when a probe would start past the deadline.
+    The candidate set is the argmin of the base score over ctx.d; ties go to
+    the configured tie-break (declaration order for "lexico"). Probing
+    tie-breaks only run when more than one candidate is tied, and raise
+    TimeoutError when a probe would start past ctx.deadline.
     """
-    free = [x for x in problem.variables if x not in hstate.assigned]
+    hstate = ctx.hstate
+    free = [x for x in hstate.problem.variables if x not in hstate.assigned]
     if not free:
         raise ValueError("no unassigned variable to select")
-    score = SCORE_BUILDERS[h.base](h, problem, d, hstate)
+    score = SCORE_BUILDERS[h.base](h, hstate.problem, ctx.d, hstate)
     if h.tiebreak == "lexico":
         return min(free, key=score)
     scores = [score(x) for x in free]
@@ -274,13 +294,8 @@ def select_variable(
     candidates = [x for x, s in zip(free, scores) if s == low]
     if len(candidates) == 1:
         return candidates[0]
-    if h.tiebreak == "rsc":
-        return rsc_tiebreak(
-            candidates, problem, d, scheme, policy, hstate, stats, deadline=deadline,
-        )
-    return node_impact_tiebreak(
-        candidates, problem, d, scheme, policy, hstate, stats, deadline=deadline,
-    )
+    tiebreak = rsc_tiebreak if h.tiebreak == "rsc" else node_impact_tiebreak
+    return tiebreak(ctx, candidates)
 
 
 # --- impacts ---------------------------------------------------------------
@@ -355,14 +370,15 @@ def partition_parts(values: list[int]) -> list[list[int]]:
     return out
 
 
-def _lookahead(problem, d, x, keep, scheme, policy, hstate, stats, deadline):
-    """Shrink D(x) to keep, propagate without weight updates, measure, restore d.
+def _lookahead(ctx: SearchContext, x: str, keep) -> tuple[bool, int, int]:
+    """Shrink D(x) to keep, propagate without weight updates, measure, restore ctx.d.
 
     Returns (consistent, p_before, p_after), products of the other unassigned
     domains, p_after 0 on a wipeout. Raises TimeoutError at a passed deadline.
     """
-    if time.monotonic() >= deadline:
+    if time.monotonic() >= ctx.deadline:
         raise TimeoutError
+    d, problem, assigned = ctx.d, ctx.hstate.problem, ctx.hstate.assigned
     root = d.mark()
     try:
         removed = 0
@@ -370,73 +386,59 @@ def _lookahead(problem, d, x, keep, scheme, policy, hstate, stats, deadline):
             if v not in keep:
                 d.remove(x, v)
                 removed += 1
-        p_before = space_product(problem, d, hstate.assigned, exclude=x)
-        if not propagate(
-            problem, d, policy, update_queue(problem, scheme, x, removed),
-            hstate, stats, update_weights=False, deadline=deadline,
-        ).consistent:
+        p_before = space_product(problem, d, assigned, exclude=x)
+        if not ctx.propagate_from(x, removed, update_weights=False):
             return False, p_before, 0
-        return True, p_before, space_product(problem, d, hstate.assigned, exclude=x)
+        return True, p_before, space_product(problem, d, assigned, exclude=x)
     finally:
         d.restore(root)
 
 
-def init_impacts(
-    problem: Problem,
-    d: DomainStore,
-    scheme: str,
-    policy: str,
-    hstate: HeuristicState,
-    stats,
-    deadline: float = math.inf,
-) -> bool:
-    """Initialize hstate.impacts by probing contiguous sub-domains of every variable.
+def init_impacts(ctx: SearchContext) -> bool:
+    """Initialize ctx.hstate.impacts by probing contiguous sub-domains of every variable.
 
     Each part is propagated in isolation and restored; a part that wipes out
     records impact 1 for its values. Returns False when every part of some
     variable wipes out (the problem is inconsistent). Raises TimeoutError,
-    with d restored, when a part or a propagation's queue selection would
-    start past the deadline.
+    with ctx.d restored, when a part or a propagation's queue selection would
+    start past ctx.deadline.
     """
-    for x in problem.variables:
+    for x in ctx.hstate.problem.variables:
         live_parts = 0
-        for part in partition_parts(sorted(d.current(x))):
-            ok, p_before, p_after = _lookahead(
-                problem, d, x, part, scheme, policy, hstate, stats, deadline=deadline
-            )
+        for part in partition_parts(sorted(ctx.d.current(x))):
+            ok, p_before, p_after = _lookahead(ctx, x, part)
             live_parts += ok
             for a in part:
-                observe_impact(hstate.impacts, x, a, p_before, p_after)
+                observe_impact(ctx.hstate.impacts, x, a, p_before, p_after)
         if live_parts == 0:
             return False
     return True
 
 
-def _probe_scan(candidates, problem, d, scheme, policy, hstate, stats, score, deadline):
+def _probe_scan(ctx: SearchContext, candidates: list[str], score) -> str | None:
     """Probe every live value of each candidate once, the candidate marked assigned.
 
-    Values that wipe out are pruned from the real domain; returns None when a
+    Values that wipe out are pruned from ctx.d; returns None when a
     candidate's domain empties (the caller must fail the node). Otherwise the
     candidate with the smallest summed score(x, a, p_before, p_after) wins,
     first-listed on ties. Raises TimeoutError when a probe would start past
-    the deadline.
+    ctx.deadline.
     """
+    d, assigned = ctx.d, ctx.hstate.assigned
     best = None
     best_total = None
     for x in candidates:
         wiped = []
         total = 0
-        hstate.assigned.add(x)
+        assigned.add(x)
         try:
             for a in d.current(x):
-                ok, p_before, p_after = _lookahead(
-                    problem, d, x, (a,), scheme, policy, hstate, stats, deadline=deadline,
-                )
+                ok, p_before, p_after = _lookahead(ctx, x, (a,))
                 total += score(x, a, p_before, p_after)
                 if not ok:
                     wiped.append(a)
         finally:
-            hstate.assigned.discard(x)
+            assigned.discard(x)
         for a in wiped:
             d.remove(x, a)
         if d.size(x) == 0:
@@ -446,24 +448,15 @@ def _probe_scan(candidates, problem, d, scheme, policy, hstate, stats, score, de
     return best
 
 
-def node_impact_tiebreak(
-    candidates: list[str],
-    problem: Problem,
-    d: DomainStore,
-    scheme: str,
-    policy: str,
-    hstate: HeuristicState,
-    stats,
-    deadline: float = math.inf,
-) -> str | None:
+def node_impact_tiebreak(ctx: SearchContext, candidates: list[str]) -> str | None:
     """Break ties with exact impacts measured at this node.
 
-    Every candidate value is probed, and its impact recorded in hstate.impacts
-    if there is one; values that wipe out are pruned from the real domain (None
-    on an emptied candidate). The candidate with the smallest summed residual
-    (1 - impact) wins, first-listed on ties.
+    Every candidate value is probed, and its impact recorded in
+    ctx.hstate.impacts if there is one; values that wipe out are pruned from
+    ctx.d (None on an emptied candidate). The candidate with the smallest
+    summed residual (1 - impact) wins, first-listed on ties.
     """
-    store = hstate.impacts
+    store = ctx.hstate.impacts
 
     def residual(x, a, p_before, p_after):
         if store is None:
@@ -472,48 +465,24 @@ def node_impact_tiebreak(
             impact = observe_impact(store, x, a, p_before, p_after)
         return 1.0 - impact
 
-    return _probe_scan(
-        candidates, problem, d, scheme, policy, hstate, stats, residual, deadline=deadline
-    )
+    return _probe_scan(ctx, candidates, residual)
 
 
-def rsc_tiebreak(
-    candidates: list[str],
-    problem: Problem,
-    d: DomainStore,
-    scheme: str,
-    policy: str,
-    hstate: HeuristicState,
-    stats,
-    deadline: float = math.inf,
-) -> str | None:
+def rsc_tiebreak(ctx: SearchContext, candidates: list[str]) -> str | None:
     """Break ties by total search-space reduction over one singleton pass.
 
     Each candidate value gets a single assign-and-propagate probe; wiped
-    values are pruned from the real domain (None on an emptied candidate).
-    The candidate with the largest total reduction wins, first-listed on ties.
+    values are pruned from ctx.d (None on an emptied candidate). The
+    candidate with the largest total reduction wins, first-listed on ties.
     """
-    return _probe_scan(
-        candidates, problem, d, scheme, policy, hstate, stats,
-        lambda x, a, p_before, p_after: p_after - p_before,
-        deadline=deadline,
-    )
+    return _probe_scan(ctx, candidates, lambda x, a, p_before, p_after: p_after - p_before)
 
 
 # --- random probing ---------------------------------------------------------
 
 
-def random_probe(
-    problem: Problem,
-    d: DomainStore,
-    cfg: ProbeConfig,
-    hstate: HeuristicState,
-    scheme: str,
-    policy: str,
-    stats,
-    deadline: float = math.inf,
-) -> tuple[str, dict | None] | None:
-    """Run short randomized probes to warm up the conflict weights, hstate.weights.
+def random_probe(ctx: SearchContext, cfg: ProbeConfig) -> tuple[str, dict | None] | None:
+    """Run short randomized probes to warm up the conflict weights, ctx.hstate.weights.
 
     Each probe is a run of the d-way search loop with uniformly random
     variable selection and value order, cut off once cfg.failures wipeouts
@@ -525,13 +494,14 @@ def random_probe(
     from .search import CUTOFF, LEAF, dway_search  # search imports this module
 
     rng = random.Random(cfg.seed)
+    hstate, stats = ctx.hstate, ctx.stats
     solution: dict[str, int] = {}
 
     def choose() -> str:
-        return rng.choice([x for x in problem.variables if x not in hstate.assigned])
+        return rng.choice([x for x in hstate.problem.variables if x not in hstate.assigned])
 
     def values(x: str) -> list[int]:
-        order = sorted(d.current(x))
+        order = sorted(ctx.d.current(x))
         rng.shuffle(order)
         return order
 
@@ -546,10 +516,7 @@ def random_probe(
         dwos_at_start = stats.dwos
         # records no impacts: solve builds a store only for the impact base,
         # which takes no +probe
-        result = dway_search(
-            problem, d, scheme, policy, hstate, stats, deadline,
-            choose, values, leaf, failed,
-        )
+        result = dway_search(ctx, choose, values, leaf, failed)
         if result == LEAF:
             return "sat", solution
         # a wipeout refuting the root's last value gets no failed() call

@@ -236,11 +236,12 @@ def propagate(
 ) -> PropagationOutcome:
     """Run the queue to fixpoint or to the first domain wipeout.
 
-    The scheme is the queue's kind, and policy must fit it. The revisions counter r advances once per queue selection and the check
-    counter advances inside check_tuple. Weight-update events (fruitful
-    revisions, DWOs) are forwarded to hstate.weights unless update_weights is
-    False (lookahead probing must not touch weights). Raises TimeoutError
-    when a selection would start past the deadline.
+    The scheme is the queue's kind, and policy must fit it. The revisions
+    counter advances once per queue selection and the checks counter inside
+    check_tuple. Weight-update events (fruitful revisions, DWOs) are
+    forwarded to hstate.weights unless update_weights is False (lookahead
+    probing must not touch weights). Raises TimeoutError when a selection
+    would start past the deadline.
     """
     scheme = queue.kind
     validate_policy(scheme, policy)

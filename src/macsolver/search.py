@@ -18,6 +18,7 @@ from .model import SearchStats
 from .heuristics import (
     HeuristicState,
     ImpactStore,
+    SearchContext,
     VOHeuristic,
     WeightStore,
     init_impacts,
@@ -27,7 +28,7 @@ from .heuristics import (
     space_product,
     weight_policy_for,
 )
-from .propagation import initial_queue, propagate, update_queue, validate_policy
+from .propagation import initial_queue, propagate, validate_policy
 
 
 @dataclass(frozen=True)
@@ -145,25 +146,23 @@ def order_values(x: str, d, mode: str, seed: int, index: int = 0) -> list[int]:
 LEAF, EXHAUSTED, CUTOFF = "leaf", "exhausted", "cutoff"
 
 
-def dway_search(
-    problem, d, scheme, policy, hstate, stats, deadline,
-    choose, values, leaf, failed,
-) -> str:
-    """Depth-first d-way MAC search from the current state of d, without recursion.
+def dway_search(ctx: SearchContext, choose, values, leaf, failed) -> str:
+    """Depth-first d-way MAC search from the current state of ctx.d, without recursion.
 
     A node assigns the values of choose()'s variable in the order values(x)
     gives, propagating after each; choose() returning None fails the node.
     Once every variable is assigned, leaf(assignment) says whether to stop.
     After each value whose subtree failed, failed() says whether to cut the
     run off; otherwise the value is refuted (removed and propagated) and the
-    next one is tried. With an impact store in hstate every assignment records
-    its observed impact.
+    next one is tried. With an impact store in ctx.hstate every assignment
+    records its observed impact.
 
-    Returns LEAF, EXHAUSTED or CUTOFF, and leaves d and hstate.assigned as it
-    found them. Raises TimeoutError when a node or a propagation's queue
-    selection would start past the deadline.
+    Returns LEAF, EXHAUSTED or CUTOFF, and leaves ctx.d and ctx.hstate.assigned
+    as it found them. Raises TimeoutError when a node or a propagation's queue
+    selection would start past ctx.deadline.
     """
-    impacts = hstate.impacts
+    d, hstate, stats = ctx.d, ctx.hstate, ctx.stats
+    problem, impacts = hstate.problem, hstate.impacts
     root = d.mark()
     assignment: dict[str, int] = {}
     stack: list[list] = []  # per open node: [x, untried values, value, mark]
@@ -190,10 +189,7 @@ def dway_search(
                 if failed():
                     return CUTOFF
                 d.remove(x, a)
-                if d.size(x) == 0 or not propagate(
-                    problem, d, policy, update_queue(problem, scheme, x, 1),
-                    hstate, stats, deadline=deadline,
-                ).consistent:
+                if d.size(x) == 0 or not ctx.propagate_from(x, 1):
                     stack.pop()
                     continue
             frame = stack[-1]
@@ -203,7 +199,7 @@ def dway_search(
                 stack.pop()
                 descend = False
                 continue
-            if time.monotonic() >= deadline:
+            if time.monotonic() >= ctx.deadline:
                 raise TimeoutError
             stats.nodes += 1
             frame[2:] = a, d.mark()
@@ -212,18 +208,10 @@ def dway_search(
             assignment[x] = a
             if impacts is not None:
                 p_before = space_product(problem, d, hstate.assigned)
-            out = propagate(
-                problem, d, policy, update_queue(problem, scheme, x, removed),
-                hstate, stats, deadline=deadline,
-            )
+            descend = ctx.propagate_from(x, removed)
             if impacts is not None:
-                p_after = (
-                    space_product(problem, d, hstate.assigned)
-                    if out.consistent
-                    else 0
-                )
+                p_after = space_product(problem, d, hstate.assigned) if descend else 0
                 observe_impact(impacts, x, a, p_before, p_after)
-            descend = out.consistent
     finally:
         for frame in stack:
             hstate.assigned.discard(frame[0])
@@ -252,6 +240,7 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
     impacts = ImpactStore() if heur.base == "impact" else None
     hstate = HeuristicState(problem, weights, impacts)
     d = model.DomainStore(problem)
+    ctx = SearchContext(d, hstate, stats, cfg.scheme, cfg.policy, deadline)
     solution: dict[str, int] | None = None
     count = 0
 
@@ -272,15 +261,10 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
             hstate, stats, deadline=deadline,
         ).consistent:
             return finish("unsat")
-        if heur.base == "impact" and not init_impacts(
-            problem, d, cfg.scheme, cfg.policy, hstate, stats, deadline=deadline,
-        ):
+        if heur.base == "impact" and not init_impacts(ctx):
             return finish("unsat")
         if heur.probing is not None:
-            definitive = random_probe(
-                problem, d, heur.probing, hstate,
-                cfg.scheme, cfg.policy, stats, deadline=deadline,
-            )
+            definitive = random_probe(ctx, heur.probing)
     except TimeoutError:
         return finish("timeout")
     if definitive is not None:
@@ -296,9 +280,7 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
 
     def choose() -> str | None:
         # None when a tie-break probe emptied a candidate's domain
-        return select_variable(
-            heur, problem, d, hstate, stats, cfg.scheme, cfg.policy, deadline
-        )
+        return select_variable(ctx, heur)
 
     def values(x: str) -> list[int]:
         return order_values(x, d, cfg.value_order, cfg.seed, problem.var_index[x])
@@ -324,10 +306,7 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
         cutoff = next_cutoff(cfg.restarts, run_index) if use_restarts else None
         left = math.inf if cutoff is None else cutoff
         try:
-            result = dway_search(
-                problem, d, cfg.scheme, cfg.policy, hstate, stats, deadline,
-                choose, values, leaf, failed,
-            )
+            result = dway_search(ctx, choose, values, leaf, failed)
         except TimeoutError:
             return finish("timeout")
         if result != CUTOFF:

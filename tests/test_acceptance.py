@@ -24,6 +24,7 @@ from macsolver.heuristics import (
     Dwo,
     HeuristicState,
     ImpactStore,
+    SearchContext,
     VOHeuristic,
     WeightStore,
     init_impacts,
@@ -267,7 +268,7 @@ def test_criterion_07_impact_machinery():
         d = DomainStore(p)
         store = ImpactStore()
         hstate = HeuristicState(p, WeightStore(p, "wdeg"), store)
-        ok = init_impacts(p, d, "variable", "fifo", hstate, Stats())
+        ok = init_impacts(SearchContext(d, hstate, Stats(), "variable", "fifo"))
         if not ok:
             continue
         exercised += 1

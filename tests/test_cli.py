@@ -149,6 +149,23 @@ def test_bench_builds_every_configuration_before_the_first_run(tmp_path, capsys,
     assert calls == []
 
 
+def test_bench_loads_every_instance_before_the_first_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr("macsolver.harness.solve", lambda *args: calls.append(args))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "instances": ["queens:n=6", str(tmp_path / "nosuch.json")],
+        "var_heurs": ["dom", "dom/wdeg"],
+        "rev_policies": ["fifo", "dom"],
+    }))
+    out_path = tmp_path / "rows.csv"
+    code, _, err = run(capsys, "bench", str(spec_path), "--out", str(out_path))
+    assert code == 3
+    assert "nosuch.json" in err
+    assert not out_path.exists()
+    assert calls == []
+
+
 def test_deep_chain_solves_exit_zero(tmp_path, capsys):
     path = tmp_path / "chain.json"
     path.write_text(dump_problem(ne_chain(1200)))

@@ -81,6 +81,27 @@ def test_experiment_spec_rejects_a_sweep_that_runs_nothing(extra, message):
         ExperimentSpec(instances=("queens:n=4",), var_heurs=("dom",), **extra)
 
 
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        ("instances", ("queens:n=4", "queens:n=5", "queens:n=4")),
+        ("var_heurs", ("dom", "dom")),
+        ("schemes", ("variable", "arc", "variable")),
+        ("rev_policies", ("fifo", "fifo")),
+        ("restarts", ("none", "geo:3:1.5", "geo:3:1.5")),
+        ("value_orders", ("rand", "rand")),
+        ("seeds", (0, 0, 1)),
+    ],
+)
+def test_experiment_spec_rejects_a_repeated_entry(field, values):
+    kwargs = {"instances": ("queens:n=4",), "var_heurs": ("dom",), field: values}
+    with pytest.raises(ValueError, match=f"repeated entry .* in experiment field '{field}'"):
+        ExperimentSpec(**kwargs)
+    doc = {name: list(value) for name, value in kwargs.items()}
+    with pytest.raises(ValueError, match="repeated entry"):
+        ExperimentSpec.from_json(json.dumps(doc))
+
+
 def test_experiment_spec_from_json():
     spec = ExperimentSpec.from_json(
         json.dumps(

@@ -13,6 +13,7 @@ from macsolver.heuristics import (
     HeuristicState,
     ImpactStore,
     ProbeConfig,
+    SearchContext,
     VOHeuristic,
     WeightStore,
     averaged_impact,
@@ -62,6 +63,10 @@ def star_problem():
 
 def fresh_state(problem, policy="wdeg", impacts=None):
     return HeuristicState(problem, WeightStore(problem, policy), impacts)
+
+
+def context(d, hstate, stats=None, deadline=float("inf")):
+    return SearchContext(d, hstate, stats, "variable", "fifo", deadline)
 
 
 def test_heuristic_validation():
@@ -279,12 +284,12 @@ def test_select_variable_lexico_tie():
     )
     d = DomainStore(p)
     hstate = fresh_state(p)
-    assert select_variable(VOHeuristic(base="dom"), p, d, hstate) == "t1"
+    assert select_variable(context(d, hstate), VOHeuristic(base="dom")) == "t1"
     hstate.assigned.add("t1")
-    assert select_variable(VOHeuristic(base="dom"), p, d, hstate) == "t2"
+    assert select_variable(context(d, hstate), VOHeuristic(base="dom")) == "t2"
     hstate.assigned.update({"t2", "y"})
     with pytest.raises(ValueError):
-        select_variable(VOHeuristic(base="dom"), p, d, hstate)
+        select_variable(context(d, hstate), VOHeuristic(base="dom"))
 
 
 def tiebreak_problem():
@@ -304,7 +309,7 @@ def test_rsc_tiebreak_prefers_larger_reduction():
     hstate = fresh_state(p)
     s = Stats()
     h = VOHeuristic(base="dom", tiebreak="rsc")
-    assert select_variable(h, p, d, hstate, s) == "t2"
+    assert select_variable(context(d, hstate, s), h) == "t2"
     assert s.checks > 0  # probes are counted against the run
 
 
@@ -314,7 +319,7 @@ def test_node_impact_tiebreak_prefers_larger_impact():
     store = ImpactStore()
     hstate = fresh_state(p, impacts=store)
     h = VOHeuristic(base="dom", tiebreak="nodeimpact")
-    assert select_variable(h, p, d, hstate, Stats()) == "t2"
+    assert select_variable(context(d, hstate, Stats()), h) == "t2"
     # probes were recorded as observations
     assert store.known("t1", 0) and store.known("t2", 1)
 
@@ -336,7 +341,7 @@ def test_tiebreak_probes_prune_wiped_values():
     d = DomainStore(p)
     hstate = fresh_state(p)
     h = VOHeuristic(base="dom", tiebreak="rsc")
-    picked = select_variable(h, p, d, hstate, Stats())
+    picked = select_variable(context(d, hstate, Stats()), h)
     assert picked == "t1"  # largest total reduction (its bad value wiped a lot)
     assert not d.contains("t1", 1)  # the failed probe value is gone for real
     assert d.contains("t1", 0)
@@ -359,7 +364,7 @@ def test_tiebreak_reports_wipeout_with_none():
         dd = DomainStore(p)
         st = fresh_state(p, impacts=ImpactStore())
         h = VOHeuristic(base="dom", tiebreak=tiebreak)
-        assert select_variable(h, p, dd, st, Stats()) is None
+        assert select_variable(context(dd, st, Stats()), h) is None
         assert dd.size("t1") == 0
 
 
@@ -370,7 +375,7 @@ def test_single_candidate_skips_probing():
     s = Stats()
     h = VOHeuristic(base="dom", tiebreak="rsc")
     # x is the unique argmin; no probe should run
-    assert select_variable(h, p, d, hstate, s) == "x"
+    assert select_variable(context(d, hstate, s), h) == "x"
     assert s.checks == 0
 
 
@@ -429,7 +434,7 @@ def test_init_impacts_consistent():
     d = DomainStore(p)
     store = ImpactStore()
     hstate = fresh_state(p, impacts=store)
-    ok = init_impacts(p, d, "variable", "fifo", hstate, Stats())
+    ok = init_impacts(context(d, hstate, Stats()))
     assert ok
     for x in p.variables:
         for a in d.current(x):
@@ -452,7 +457,7 @@ def test_init_impacts_detects_inconsistency():
     d = DomainStore(p)
     store = ImpactStore()
     hstate = fresh_state(p, impacts=store)
-    assert init_impacts(p, d, "variable", "fifo", hstate, Stats()) is False
+    assert init_impacts(context(d, hstate, Stats())) is False
 
 
 def test_init_impacts_never_touches_weights():
@@ -460,7 +465,7 @@ def test_init_impacts_never_touches_weights():
     d = DomainStore(p)
     hstate = fresh_state(p, impacts=ImpactStore())
     before = hstate.weights.snapshot()
-    init_impacts(p, d, "variable", "fifo", hstate, Stats())
+    init_impacts(context(d, hstate, Stats()))
     assert hstate.weights.snapshot() == before
 
 
@@ -501,7 +506,7 @@ def test_random_probe_deterministic():
     results = []
     for _ in range(2):
         d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
-        definitive = random_probe(p, d, cfg, hstate, "variable", "fifo", s)
+        definitive = random_probe(context(d, hstate, s), cfg)
         results.append((ws.snapshot(), definitive, s.tuple()))
     assert results[0] == results[1]
     assert results[0][2][0] > 0  # probe attempts count as nodes
@@ -511,7 +516,7 @@ def test_random_probe_pinned_counters():
     # exact counters: the benchmark never runs random probing
     p = gen_queens(6)
     d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
-    definitive = random_probe(p, d, cfg, hstate, "variable", "fifo", s)
+    definitive = random_probe(context(d, hstate, s), cfg)
     assert definitive == ("sat", {"q0": 3, "q1": 0, "q2": 4, "q3": 1, "q4": 5, "q5": 2})
     assert {c: w for c, w in ws.snapshot().items() if w > 1} == {"c3": 2}
     assert s.tuple() == (7, 461, 18, 1)
@@ -521,7 +526,7 @@ def test_random_probe_pinned_cutoffs():
     # every run of an unsat instance ends at the failure cutoff
     p = gen_langford(2, 5)
     d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
-    definitive = random_probe(p, d, cfg, hstate, "variable", "fifo", s)
+    definitive = random_probe(context(d, hstate, s), cfg)
     assert definitive is None
     assert {c: w for c, w in ws.snapshot().items() if w > 1} == {
         "c2": 2, "c3": 2, "c6": 3, "c7": 2, "c12": 2, "c16": 2, "c18": 2,
@@ -536,7 +541,7 @@ def test_random_probe_pinned_cutoffs():
 def test_random_probe_restores_state():
     p = gen_queens(5)
     d, ws, hstate, s, cfg = probe_setup(p, seed=1, failures=3, runs=4)
-    random_probe(p, d, cfg, hstate, "variable", "fifo", s)
+    random_probe(context(d, hstate, s), cfg)
     assert all(d.size(x) == len(p.domains[x]) for x in p.variables)
     assert hstate.assigned == set()
 
@@ -555,7 +560,7 @@ def test_random_probe_definitive_unsat():
         ),
     )
     d, ws, hstate, s, cfg = probe_setup(p, seed=0)
-    definitive = random_probe(p, d, cfg, hstate, "variable", "fifo", s)
+    definitive = random_probe(context(d, hstate, s), cfg)
     assert definitive == ("unsat", None)
 
 
@@ -568,7 +573,7 @@ def test_random_probe_definitive_sat():
         constraints=(pred("c", ("x", "y"), "ne"),),
     )
     d, ws, hstate, s, cfg = probe_setup(p, seed=0)
-    definitive = random_probe(p, d, cfg, hstate, "variable", "fifo", s)
+    definitive = random_probe(context(d, hstate, s), cfg)
     assert definitive is not None
     kind, assignment = definitive
     assert kind == "sat"
@@ -578,7 +583,7 @@ def test_random_probe_definitive_sat():
 def test_random_probe_accumulates_weights():
     p = gen_model_d(n=8, d=3, e=16, t=0.6, seed=21)
     d, ws, hstate, s, cfg = probe_setup(p, seed=5, failures=5, runs=10)
-    definitive = random_probe(p, d, cfg, hstate, "variable", "fifo", s)
+    definitive = random_probe(context(d, hstate, s), cfg)
     snap = ws.snapshot()
     assert all(w >= 1 for w in snap.values())
     if definitive is None or definitive[0] == "unsat":
@@ -593,14 +598,12 @@ def test_random_probe_reads_no_clock(monkeypatch):
     monkeypatch.setattr(heuristics, "time", types.SimpleNamespace(monotonic=no_clock))
     p = gen_langford(2, 5)
     d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
-    assert random_probe(p, d, cfg, hstate, "variable", "fifo", s) is None
+    assert random_probe(context(d, hstate, s), cfg) is None
     assert s.tuple() == (31, 12784, 287, 24)
     # a passed deadline still raises before the first probe node
     d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
     with pytest.raises(TimeoutError):
-        random_probe(
-            p, d, cfg, hstate, "variable", "fifo", s, deadline=time.monotonic() - 1.0
-        )
+        random_probe(context(d, hstate, s, deadline=time.monotonic() - 1.0), cfg)
     assert s.tuple() == (0, 0, 0, 0)
 
 
@@ -608,21 +611,16 @@ def test_random_probe_deadline():
     p = gen_queens(8)
     d, ws, hstate, s, cfg = probe_setup(p, seed=0)
     with pytest.raises(TimeoutError):
-        random_probe(
-            p, d, cfg, hstate, "variable", "fifo", s,
-            deadline=time.monotonic() - 1.0,
-        )
+        random_probe(context(d, hstate, s, deadline=time.monotonic() - 1.0), cfg)
 
 
 PROBES = {
-    "init_impacts": lambda p, d, hs, s, dl: init_impacts(
-        p, d, "variable", "fifo", hs, s, deadline=dl
-    ),
+    "init_impacts": lambda p, d, hs, s, dl: init_impacts(context(d, hs, s, dl)),
     "rsc_tiebreak": lambda p, d, hs, s, dl: rsc_tiebreak(
-        list(p.variables), p, d, "variable", "fifo", hs, s, dl
+        context(d, hs, s, dl), list(p.variables)
     ),
     "node_impact_tiebreak": lambda p, d, hs, s, dl: node_impact_tiebreak(
-        list(p.variables), p, d, "variable", "fifo", hs, s, dl
+        context(d, hs, s, dl), list(p.variables)
     ),
 }
 
