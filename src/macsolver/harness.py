@@ -146,7 +146,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     run, so a bad heuristic or restart name or an unreadable instance fails
     the sweep before anything is solved. Scheme/policy
     pairs that do not fit are skipped with a warning. Random value-order
-    configs get one row per seed plus an averaged row.
+    configs get one row per seed plus an averaged row. A seed changes a run
+    only through random value order or +probe, so a config with neither is
+    solved once and that outcome fills every seed's row.
     """
     for scheme, rev in product(spec.schemes, spec.rev_policies):
         if rev not in POLICIES_BY_SCHEME[scheme]:
@@ -171,9 +173,12 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for problem in problems:
         for var_heur, restart, cfgs in plan:
+            seeded = cfgs[0].value_order == "rand" or cfgs[0].heuristic.probing is not None
             group = []
+            outcome = None
             for cfg in cfgs:
-                outcome = solve(problem, cfg)
+                if outcome is None or seeded:
+                    outcome = solve(problem, cfg)
                 group.append(ResultRow(
                     problem.name, cfg.scheme, var_heur, cfg.policy, restart,
                     cfg.value_order, cfg.seed, outcome.result,

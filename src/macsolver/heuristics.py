@@ -2,15 +2,15 @@
 
 Scores are "smaller is preferred" throughout. Conflict-driven heuristics keep
 a per-constraint weight store fed by propagation events; impact-based search
-keeps running averages of observed search-space reductions. Lookahead
-tie-breaks (restricted singleton probes, node impacts) and random probing live
-here too.
+keeps running averages of observed search-space reductions. The lookahead
+tie-breaks (restricted singleton probes, node impacts) live here too; random
+probing runs the search loop, so it lives in search, which imports this
+module.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass
 
@@ -22,26 +22,26 @@ def _wdeg_score(w: int, dom: int):
     return -w if w > 0 else float(dom)
 
 
-def _dom_over_wdeg(h, problem, d, hstate):
+def _dom_over_wdeg(h, d, hstate):
     return lambda x: dom_ratio(d.size(x), hstate.wdeg(x))
 
 
-def _impact_key(h, problem, d, hstate):
+def _impact_key(h, d, hstate):
     if hstate.impacts is None:
         raise ValueError("impact heuristic used without an impact store")
     return lambda x: variable_impact(hstate.impacts, x, d)
 
 
-# base -> score builder. A builder takes (h, problem, d, hstate) and returns
-# the score of one unassigned variable; smaller is preferred.
+# base -> score builder. A builder takes (h, d, hstate) and returns the score
+# of one unassigned variable of hstate.problem; smaller is preferred.
 SCORE_BUILDERS = {
-    "dom": lambda h, p, d, hs: d.size,
-    "deg": lambda h, p, d, hs: lambda x: -len(p.neighborhood[x]),
-    "ddeg": lambda h, p, d, hs: lambda x: -hs.ddeg(x),
-    "dom+deg": lambda h, p, d, hs: lambda x: (d.size(x), -len(p.neighborhood[x])),
-    "dom/ddeg": lambda h, p, d, hs: lambda x: dom_ratio(d.size(x), hs.ddeg(x)),
-    "mdvo": lambda h, p, d, hs: lambda x: _mdvo_score(h, x, p, d),
-    "wdeg": lambda h, p, d, hs: lambda x: _wdeg_score(hs.wdeg(x), d.size(x)),
+    "dom": lambda h, d, hs: d.size,
+    "deg": lambda h, d, hs: lambda x: -len(hs.problem.neighborhood[x]),
+    "ddeg": lambda h, d, hs: lambda x: -hs.ddeg(x),
+    "dom+deg": lambda h, d, hs: lambda x: (d.size(x), -len(hs.problem.neighborhood[x])),
+    "dom/ddeg": lambda h, d, hs: lambda x: dom_ratio(d.size(x), hs.ddeg(x)),
+    "mdvo": lambda h, d, hs: lambda x: _mdvo_score(h, x, hs.problem, d),
+    "wdeg": lambda h, d, hs: lambda x: _wdeg_score(hs.wdeg(x), d.size(x)),
     "dom/wdeg": _dom_over_wdeg,
     "alldel": _dom_over_wdeg,
     "fully": _dom_over_wdeg,
@@ -225,7 +225,7 @@ class SearchContext:
 
     d: DomainStore
     hstate: HeuristicState
-    stats: SearchStats | None
+    stats: SearchStats
     scheme: str
     policy: str
     deadline: float = math.inf
@@ -237,20 +237,19 @@ class SearchContext:
         probes). Raises TimeoutError when a queue selection would start past
         the deadline.
         """
-        problem = self.hstate.problem
         return propagate(
-            problem, self.d, self.policy, update_queue(problem, self.scheme, x, removed),
+            self.d, self.policy, update_queue(self.hstate.problem, self.scheme, x, removed),
             self.hstate, self.stats, update_weights, self.deadline,
         ).consistent
 
 
-def score_variable(h: VOHeuristic, x: str, problem: Problem, d: DomainStore, hstate: HeuristicState):
-    """Score one unassigned variable; smaller is preferred.
+def score_variable(h: VOHeuristic, x: str, d: DomainStore, hstate: HeuristicState):
+    """Score one unassigned variable of hstate.problem; smaller is preferred.
 
     Ratio heuristics fall back to plain |D(x)| when the denominator has no
     qualifying constraint (division guard).
     """
-    return SCORE_BUILDERS[h.base](h, problem, d, hstate)(x)
+    return SCORE_BUILDERS[h.base](h, d, hstate)(x)
 
 
 def _mdvo_score(h: VOHeuristic, x: str, problem: Problem, d: DomainStore) -> float:
@@ -286,7 +285,7 @@ def select_variable(ctx: SearchContext, h: VOHeuristic) -> str | None:
     free = [x for x in hstate.problem.variables if x not in hstate.assigned]
     if not free:
         raise ValueError("no unassigned variable to select")
-    score = SCORE_BUILDERS[h.base](h, hstate.problem, ctx.d, hstate)
+    score = SCORE_BUILDERS[h.base](h, ctx.d, hstate)
     if h.tiebreak == "lexico":
         return min(free, key=score)
     scores = [score(x) for x in free]
@@ -476,50 +475,3 @@ def rsc_tiebreak(ctx: SearchContext, candidates: list[str]) -> str | None:
     candidate with the largest total reduction wins, first-listed on ties.
     """
     return _probe_scan(ctx, candidates, lambda x, a, p_before, p_after: p_after - p_before)
-
-
-# --- random probing ---------------------------------------------------------
-
-
-def random_probe(ctx: SearchContext, cfg: ProbeConfig) -> tuple[str, dict | None] | None:
-    """Run short randomized probes to warm up the conflict weights, ctx.hstate.weights.
-
-    Each probe is a run of the d-way search loop with uniformly random
-    variable selection and value order, cut off once cfg.failures wipeouts
-    have been seen. Weights accumulate across probes under the active update
-    policy. Returns a definitive ("sat", assignment) or ("unsat", None) when a
-    probe happens to settle the instance, else None. The search loop checks
-    the deadline before each node, so a passed one raises TimeoutError.
-    """
-    from .search import CUTOFF, LEAF, dway_search  # search imports this module
-
-    rng = random.Random(cfg.seed)
-    hstate, stats = ctx.hstate, ctx.stats
-    solution: dict[str, int] = {}
-
-    def choose() -> str:
-        return rng.choice([x for x in hstate.problem.variables if x not in hstate.assigned])
-
-    def values(x: str) -> list[int]:
-        order = sorted(ctx.d.current(x))
-        rng.shuffle(order)
-        return order
-
-    def leaf(assignment: dict[str, int]) -> bool:
-        solution.update(assignment)
-        return True
-
-    def failed() -> bool:
-        return stats.dwos - dwos_at_start >= cfg.failures
-
-    for _ in range(cfg.runs):
-        dwos_at_start = stats.dwos
-        # records no impacts: solve builds a store only for the impact base,
-        # which takes no +probe
-        result = dway_search(ctx, choose, values, leaf, failed)
-        if result == LEAF:
-            return "sat", solution
-        # a wipeout refuting the root's last value gets no failed() call
-        if result != CUTOFF and not failed():
-            return "unsat", None
-    return None

@@ -225,32 +225,26 @@ def select_next(problem: Problem, q: RevisionQueue, policy: str, d: DomainStore,
 
 
 def propagate(
-    problem: Problem,
     d: DomainStore,
     policy: str,
     queue: RevisionQueue,
-    hstate=None,
-    stats=None,
+    hstate,
+    stats: SearchStats,
     update_weights: bool = True,
     deadline: float = math.inf,
 ) -> PropagationOutcome:
     """Run the queue to fixpoint or to the first domain wipeout.
 
-    The scheme is the queue's kind, and policy must fit it. The revisions
-    counter advances once per queue selection and the checks counter inside
-    check_tuple. Weight-update events (fruitful revisions, DWOs) are
-    forwarded to hstate.weights unless update_weights is False (lookahead
-    probing must not touch weights). Raises TimeoutError when a selection
-    would start past the deadline.
+    The problem is hstate.problem, the scheme is the queue's kind, and policy
+    must fit it. The revisions counter advances once per queue selection and
+    the checks counter inside check_tuple. Weight-update events (fruitful
+    revisions, DWOs) are forwarded to hstate.weights unless update_weights is
+    False (lookahead probing must not touch weights). Raises TimeoutError
+    when a selection would start past the deadline.
     """
     scheme = queue.kind
     validate_policy(scheme, policy)
-    if hstate is None:
-        from .heuristics import HeuristicState, WeightStore  # heuristics imports this module
-
-        hstate = HeuristicState(problem, WeightStore(problem))
-    if stats is None:
-        stats = SearchStats()
+    problem = hstate.problem
     weights = hstate.weights
     wdeg = hstate.wdeg
     fruitful: set[str] = set()

@@ -3,7 +3,8 @@
 A node assigns one value and re-establishes consistency; on failure the value
 is removed, consistency is re-established, and the next value is tried.
 Restart policies cap the failed value attempts per run; conflict weights and
-impact averages survive restarts.
+impact averages survive restarts. Random probing, which warms the conflict
+weights up before search, runs the same loop.
 """
 
 from __future__ import annotations
@@ -18,12 +19,12 @@ from .model import SearchStats
 from .heuristics import (
     HeuristicState,
     ImpactStore,
+    ProbeConfig,
     SearchContext,
     VOHeuristic,
     WeightStore,
     init_impacts,
     observe_impact,
-    random_probe,
     select_variable,
     space_product,
     weight_policy_for,
@@ -218,6 +219,48 @@ def dway_search(ctx: SearchContext, choose, values, leaf, failed) -> str:
         d.restore(root)
 
 
+def random_probe(ctx: SearchContext, cfg: ProbeConfig) -> tuple[str, dict | None] | None:
+    """Run short randomized probes to warm up the conflict weights, ctx.hstate.weights.
+
+    Each probe is a run of dway_search with uniformly random variable
+    selection and value order, cut off once cfg.failures wipeouts have been
+    seen. Weights accumulate across probes under the active update policy.
+    Returns a definitive ("sat", assignment) or ("unsat", None) when a probe
+    happens to settle the instance, else None. The search loop checks the
+    deadline before each node, so a passed one raises TimeoutError.
+    """
+    rng = random.Random(cfg.seed)
+    hstate, stats = ctx.hstate, ctx.stats
+    solution: dict[str, int] = {}
+
+    def choose() -> str:
+        return rng.choice([x for x in hstate.problem.variables if x not in hstate.assigned])
+
+    def values(x: str) -> list[int]:
+        order = sorted(ctx.d.current(x))
+        rng.shuffle(order)
+        return order
+
+    def leaf(assignment: dict[str, int]) -> bool:
+        solution.update(assignment)
+        return True
+
+    def failed() -> bool:
+        return stats.dwos - dwos_at_start >= cfg.failures
+
+    for _ in range(cfg.runs):
+        dwos_at_start = stats.dwos
+        # records no impacts: solve builds a store only for the impact base,
+        # which takes no +probe
+        result = dway_search(ctx, choose, values, leaf, failed)
+        if result == LEAF:
+            return "sat", solution
+        # a wipeout refuting the root's last value gets no failed() call
+        if result != CUTOFF and not failed():
+            return "unsat", None
+    return None
+
+
 def _verify(problem: model.Problem, assignment: dict[str, int], stats) -> bool:
     return all(
         model.check_tuple(c, tuple(assignment[v] for v in c.scope), stats)
@@ -257,8 +300,8 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
     definitive = None
     try:
         if not propagate(
-            problem, d, cfg.policy, initial_queue(problem, cfg.scheme),
-            hstate, stats, deadline=deadline,
+            d, cfg.policy, initial_queue(problem, cfg.scheme), hstate, stats,
+            deadline=deadline,
         ).consistent:
             return finish("unsat")
         if heur.base == "impact" and not init_impacts(ctx):

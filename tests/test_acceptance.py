@@ -34,7 +34,7 @@ from macsolver.heuristics import (
     variable_impact,
 )
 from macsolver.instances import gen_langford, gen_model_d, gen_model_rb, gen_queens
-from macsolver.model import Constraint, DomainStore, Problem
+from macsolver.model import Constraint, DomainStore, Problem, SearchStats
 from macsolver.propagation import (
     POLICIES_BY_SCHEME,
     RevisionQueue,
@@ -75,7 +75,10 @@ def test_criterion_01_fixpoint_equivalence():
         wipeouts += want is None
         for scheme, policy in ALL_COMBOS:
             store = DomainStore(p)
-            out = propagate(p, store, policy, initial_queue(p, scheme))
+            out = propagate(
+                store, policy, initial_queue(p, scheme),
+                HeuristicState(p, WeightStore(p)), SearchStats(),
+            )
             if want is None:
                 assert not out.consistent, (seed, scheme, policy)
             else:
@@ -214,7 +217,7 @@ def test_criterion_04_first_blamed_constraint():
         q = RevisionQueue("arc")
         for elem in order:
             q.add(elem)
-        out = propagate(p, d, "fifo", q, HeuristicState(p, ws))
+        out = propagate(d, "fifo", q, HeuristicState(p, ws), SearchStats())
         assert not out.consistent
         assert ws.snapshot() == {blamed: 2, spared: 1}
     print(

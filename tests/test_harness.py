@@ -3,6 +3,7 @@ import logging
 
 import pytest
 
+from macsolver import harness
 from macsolver.harness import (
     COLUMNS,
     ExperimentSpec,
@@ -228,6 +229,43 @@ def test_run_experiment_averages_random_seeds():
     assert avg.result == "sat"
     assert avg.nodes == pytest.approx(sum(r.nodes for r in rows[:3]) / 3)
     assert avg.checks == pytest.approx(sum(r.checks for r in rows[:3]) / 3)
+
+
+def test_run_experiment_solves_a_seed_blind_config_once(monkeypatch):
+    # a seed changes a run only through rand values or +probe, so dom with
+    # lex values is solved once for its three seed rows
+    calls = []
+    real_solve = harness.solve
+    monkeypatch.setattr(
+        harness, "solve", lambda problem, cfg: calls.append(cfg) or real_solve(problem, cfg)
+    )
+    spec = ExperimentSpec(
+        instances=("queens:n=6",),
+        var_heurs=("dom", "dom/wdeg+probe"),
+        value_orders=("lex", "rand"),
+        seeds=(0, 1, 2),
+    )
+    rows = run_experiment(spec)
+    assert len(calls) == 10
+    assert [
+        (r.var_heur, r.value_order, r.seed, r.result, r.nodes, r.checks, r.revisions, r.dwos)
+        for r in rows
+    ] == [
+        ("dom", "lex", 0, "sat", 15, 1921, 62, 8),
+        ("dom", "lex", 1, "sat", 15, 1921, 62, 8),
+        ("dom", "lex", 2, "sat", 15, 1921, 62, 8),
+        ("dom", "rand", 0, "sat", 9, 1229, 38, 3),
+        ("dom", "rand", 1, "sat", 10, 1256, 40, 4),
+        ("dom", "rand", 2, "sat", 10, 1372, 44, 4),
+        ("dom", "rand", "avg", "sat", 29 / 3, 3857 / 3, 122 / 3, 11 / 3),
+        ("dom/wdeg+probe", "lex", 0, "sat", 6, 797, 20, 0),
+        ("dom/wdeg+probe", "lex", 1, "sat", 7, 926, 25, 1),
+        ("dom/wdeg+probe", "lex", 2, "sat", 7, 975, 27, 1),
+        ("dom/wdeg+probe", "rand", 0, "sat", 6, 797, 20, 0),
+        ("dom/wdeg+probe", "rand", 1, "sat", 7, 926, 25, 1),
+        ("dom/wdeg+probe", "rand", 2, "sat", 7, 975, 27, 1),
+        ("dom/wdeg+probe", "rand", "avg", "sat", 20 / 3, 2698 / 3, 24.0, 2 / 3),
+    ]
 
 
 def test_no_average_for_lex_or_single_seed():

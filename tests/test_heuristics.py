@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from macsolver import heuristics, propagation
+from macsolver import propagation, search
 from macsolver.heuristics import (
     Deletions,
     Dwo,
@@ -23,7 +23,6 @@ from macsolver.heuristics import (
     observe_impact,
     parse_heuristic,
     partition_parts,
-    random_probe,
     record_failure,
     rsc_tiebreak,
     score_variable,
@@ -33,7 +32,8 @@ from macsolver.heuristics import (
     weight_policy_for,
 )
 from macsolver.instances import gen_langford, gen_model_d, gen_queens
-from macsolver.model import Constraint, DomainStore, Problem
+from macsolver.model import Constraint, DomainStore, Problem, SearchStats
+from macsolver.search import random_probe
 
 
 class Stats:
@@ -66,6 +66,7 @@ def fresh_state(problem, policy="wdeg", impacts=None):
 
 
 def context(d, hstate, stats=None, deadline=float("inf")):
+    stats = SearchStats() if stats is None else stats
     return SearchContext(d, hstate, stats, "variable", "fifo", deadline)
 
 
@@ -205,16 +206,16 @@ def test_score_variable_bases():
     hstate = fresh_state(p)
     hstate.weights.weight.update({"c1": 2, "c2": 3})
 
-    assert score_variable(VOHeuristic(base="dom"), "x", p, d, hstate) == 2
-    assert score_variable(VOHeuristic(base="deg"), "x", p, d, hstate) == -2
-    assert score_variable(VOHeuristic(base="ddeg"), "x", p, d, hstate) == -2
-    assert score_variable(VOHeuristic(base="dom+deg"), "x", p, d, hstate) == (2, -2)
-    assert score_variable(VOHeuristic(base="dom/ddeg"), "x", p, d, hstate) == 1.0
-    assert score_variable(VOHeuristic(base="wdeg"), "x", p, d, hstate) == -5
-    assert score_variable(VOHeuristic(base="dom/wdeg"), "x", p, d, hstate) == 2 / 5
+    assert score_variable(VOHeuristic(base="dom"), "x", d, hstate) == 2
+    assert score_variable(VOHeuristic(base="deg"), "x", d, hstate) == -2
+    assert score_variable(VOHeuristic(base="ddeg"), "x", d, hstate) == -2
+    assert score_variable(VOHeuristic(base="dom+deg"), "x", d, hstate) == (2, -2)
+    assert score_variable(VOHeuristic(base="dom/ddeg"), "x", d, hstate) == 1.0
+    assert score_variable(VOHeuristic(base="wdeg"), "x", d, hstate) == -5
+    assert score_variable(VOHeuristic(base="dom/wdeg"), "x", d, hstate) == 2 / 5
     # alldel / fully share the ratio formula, only the update policy differs
-    assert score_variable(VOHeuristic(base="alldel"), "x", p, d, hstate) == 2 / 5
-    assert score_variable(VOHeuristic(base="fully"), "x", p, d, hstate) == 2 / 5
+    assert score_variable(VOHeuristic(base="alldel"), "x", d, hstate) == 2 / 5
+    assert score_variable(VOHeuristic(base="fully"), "x", d, hstate) == 2 / 5
 
 
 def test_score_variable_ratio_fallback():
@@ -222,9 +223,9 @@ def test_score_variable_ratio_fallback():
     d = DomainStore(p)
     hstate = fresh_state(p)
     hstate.assigned.update({"x2", "x3"})  # nothing qualifies for x any more
-    assert score_variable(VOHeuristic(base="wdeg"), "x", p, d, hstate) == 2.0
-    assert score_variable(VOHeuristic(base="dom/wdeg"), "x", p, d, hstate) == 2.0
-    assert score_variable(VOHeuristic(base="dom/ddeg"), "x", p, d, hstate) == 2.0
+    assert score_variable(VOHeuristic(base="wdeg"), "x", d, hstate) == 2.0
+    assert score_variable(VOHeuristic(base="dom/wdeg"), "x", d, hstate) == 2.0
+    assert score_variable(VOHeuristic(base="dom/ddeg"), "x", d, hstate) == 2.0
 
 
 def test_mdvo_score():
@@ -233,12 +234,12 @@ def test_mdvo_score():
     hstate = fresh_state(p)
     # alpha = |D|, op = +: ((2+3) + (2+4)) / 2^2
     h = VOHeuristic(base="mdvo", mdvo_alpha="dom", mdvo_op="+")
-    assert score_variable(h, "x", p, d, hstate) == pytest.approx(2.75)
+    assert score_variable(h, "x", d, hstate) == pytest.approx(2.75)
     # alpha = |D|/|neighbors|: alpha(x)=1, alpha(x2)=3, alpha(x3)=4
     h = VOHeuristic(base="mdvo", mdvo_alpha="dom/deg", mdvo_op="+")
-    assert score_variable(h, "x", p, d, hstate) == pytest.approx(9 / 4)
+    assert score_variable(h, "x", d, hstate) == pytest.approx(9 / 4)
     h = VOHeuristic(base="mdvo", mdvo_alpha="dom", mdvo_op="*")
-    assert score_variable(h, "x", p, d, hstate) == pytest.approx((6 + 8) / 4)
+    assert score_variable(h, "x", d, hstate) == pytest.approx((6 + 8) / 4)
     # isolated variable: falls back to |D|
     q = Problem(
         name="iso",
@@ -247,7 +248,7 @@ def test_mdvo_score():
         constraints=(pred("c", ("a", "b"), "ne"),),
     )
     h = VOHeuristic(base="mdvo")
-    assert score_variable(h, "s", q, DomainStore(q), fresh_state(q)) == 2.0
+    assert score_variable(h, "s", DomainStore(q), fresh_state(q)) == 2.0
 
 
 MDVO_RUN = """
@@ -478,13 +479,14 @@ def test_weights_never_decrease():
         from macsolver.propagation import initial_queue, propagate, update_queue
 
         d = DomainStore(p)
-        propagate(p, d, "fifo", initial_queue(p, "variable"), hstate)
+        propagate(d, "fifo", initial_queue(p, "variable"), hstate, SearchStats())
         for x in p.variables:
             if d.size(x) > 1:
                 mark = d.mark()
                 removed = d.assign(x, d.current(x)[0])
                 propagate(
-                    p, d, "fifo", update_queue(p, "variable", x, removed), hstate,
+                    d, "fifo", update_queue(p, "variable", x, removed), hstate,
+                    SearchStats(),
                 )
                 d.restore(mark)
                 cur = ws.snapshot()
@@ -591,15 +593,19 @@ def test_random_probe_accumulates_weights():
 
 
 def test_random_probe_reads_no_clock(monkeypatch):
-    # the search loop's per-node check is the only deadline check
-    def no_clock():
-        raise AssertionError("random_probe read the clock")
+    # the search loop's per-node check is the only deadline check in search
+    reads = []
 
-    monkeypatch.setattr(heuristics, "time", types.SimpleNamespace(monotonic=no_clock))
+    def counting_clock():
+        reads.append(None)
+        return time.monotonic()
+
+    monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=counting_clock))
     p = gen_langford(2, 5)
     d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
     assert random_probe(context(d, hstate, s), cfg) is None
     assert s.tuple() == (31, 12784, 287, 24)
+    assert len(reads) == s.nodes
     # a passed deadline still raises before the first probe node
     d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
     with pytest.raises(TimeoutError):

@@ -8,8 +8,8 @@ import pytest
 
 from nary import TABLE_SHAPES, gen_nary
 from oracle import ac_fixpoint, count_solutions
-from macsolver.heuristics import parse_heuristic
-from macsolver.model import PREDICATES, DomainStore, Problem
+from macsolver.heuristics import HeuristicState, WeightStore, parse_heuristic
+from macsolver.model import PREDICATES, DomainStore, Problem, SearchStats
 from macsolver.propagation import POLICIES_BY_SCHEME, initial_queue, propagate, update_queue
 from macsolver.search import GeometricRestarts, SearchConfig, solve
 
@@ -22,6 +22,11 @@ HEURISTICS = (
 )
 INSTANCES = [gen_nary(seed) for seed in SEEDS]
 COUNTS = [count_solutions(p) for p in INSTANCES]
+
+
+def unit_state(problem):
+    # unit weights and nothing assigned, as at the start of a solve
+    return HeuristicState(problem, WeightStore(problem))
 
 
 def current(d, problem):
@@ -52,7 +57,7 @@ def test_nary_fixpoints_match_oracle(scheme, policy):
     for p in INSTANCES:
         want = ac_fixpoint(p)
         d = DomainStore(p)
-        out = propagate(p, d, policy, initial_queue(p, scheme))
+        out = propagate(d, policy, initial_queue(p, scheme), unit_state(p), SearchStats())
         assert out.consistent == (want is not None), p.name
         if want is None:
             continue
@@ -63,7 +68,8 @@ def test_nary_fixpoints_match_oracle(scheme, policy):
             continue
         for a in sorted(want[x]):
             mark = d.mark()
-            out = propagate(p, d, policy, update_queue(p, scheme, x, d.assign(x, a)))
+            queue = update_queue(p, scheme, x, d.assign(x, a))
+            out = propagate(d, policy, queue, unit_state(p), SearchStats())
             step = ac_fixpoint(restricted(p, want, x, a))
             assert out.consistent == (step is not None), (p.name, x, a)
             if step is not None:

@@ -45,9 +45,17 @@ def chain_problem():
     )
 
 
-def run_to_fixpoint(problem, scheme, policy, hstate=None, stats=None):
+def unit_state(problem):
+    # unit weights and nothing assigned, as at the start of a solve
+    return HeuristicState(problem, WeightStore(problem))
+
+
+def run_to_fixpoint(problem, scheme, policy, stats=None):
     d = DomainStore(problem)
-    out = propagate(problem, d, policy, initial_queue(problem, scheme), hstate, stats)
+    out = propagate(
+        d, policy, initial_queue(problem, scheme), unit_state(problem),
+        SearchStats() if stats is None else stats,
+    )
     return d, out
 
 
@@ -81,7 +89,7 @@ def test_propagate_counts_revisions_and_dwos():
 def test_propagate_idempotent():
     p = chain_problem()
     d, out = run_to_fixpoint(p, "variable", "fifo")
-    again = propagate(p, d, "fifo", initial_queue(p, "variable"))
+    again = propagate(d, "fifo", initial_queue(p, "variable"), unit_state(p), SearchStats())
     assert again.consistent
     assert again.removed == 0
     assert again.fruitful == frozenset()
@@ -213,7 +221,7 @@ def test_propagate_rejects_mismatched_queue():
     p = chain_problem()
     d = DomainStore(p)
     with pytest.raises(ValueError):
-        propagate(p, d, "a_wdeg", initial_queue(p, "variable"))
+        propagate(d, "a_wdeg", initial_queue(p, "variable"), unit_state(p), SearchStats())
 
 
 class DictWeights:
@@ -374,24 +382,6 @@ def test_select_next_ties_go_to_first_inserted(scheme, policy):
     assert select_next(p, q, policy, d, w, lambda x: 6) == TIED_ORDER[scheme][1]
 
 
-@pytest.mark.parametrize("scheme,policy", ALL_COMBOS)
-def test_default_state_is_a_fresh_heuristic_state(scheme, policy):
-    # propagate without hstate/stats behaves as with unit weights, nothing
-    # assigned and zeroed counters
-    for seed in range(4):
-        p = gen_model_d(n=7 + seed, d=4, e=12 + 2 * seed, t=0.45, seed=seed)
-        runs = []
-        for hstate, stats in (
-            (None, SearchStats()),
-            (HeuristicState(p, WeightStore(p)), SearchStats()),
-            (None, None),
-        ):
-            d = DomainStore(p)
-            out = propagate(p, d, policy, initial_queue(p, scheme), hstate, stats)
-            runs.append((out, {x: d.current(x) for x in p.variables}))
-        assert runs[0] == runs[1] == runs[2], seed
-
-
 def example1_problem():
     # two independent unsatisfiable constraints: x1 > x2 and x5 > x6
     return Problem(
@@ -414,7 +404,7 @@ def test_first_revised_constraint_takes_the_blame():
         q = RevisionQueue("arc")
         for elem in order:
             q.add(elem)
-        out = propagate(p, d, "fifo", q, hstate)
+        out = propagate(d, "fifo", q, hstate, SearchStats())
         assert not out.consistent
         assert out.dwo_constraint == blamed
         assert ws.get(blamed) == 2
@@ -427,7 +417,7 @@ def test_update_weights_false_freezes_store():
     ws = WeightStore(p, "wdeg")
     hstate = HeuristicState(p, ws)
     out = propagate(
-        p, d, "fifo", initial_queue(p, "arc"), hstate, update_weights=False
+        d, "fifo", initial_queue(p, "arc"), hstate, SearchStats(), update_weights=False
     )
     assert not out.consistent
     assert ws.snapshot() == {"c12": 1, "c56": 1}
@@ -461,7 +451,7 @@ def test_fixpoint_matches_reference(scheme, policy):
         p = gen_model_d(n=n, d=d_size, e=e, t=0.45, seed=seed)
         want = ac_fixpoint(p)
         store = DomainStore(p)
-        out = propagate(p, store, policy, initial_queue(p, scheme))
+        out = propagate(store, policy, initial_queue(p, scheme), unit_state(p), SearchStats())
         if want is None:
             assert not out.consistent, seed
         else:
@@ -474,7 +464,7 @@ def test_removed_totals_match_domain_shrinkage():
     p = gen_model_d(n=8, d=5, e=12, t=0.5, seed=3)
     d = DomainStore(p)
     before = sum(d.size(x) for x in p.variables)
-    out = propagate(p, d, "fifo", initial_queue(p, "variable"))
+    out = propagate(d, "fifo", initial_queue(p, "variable"), unit_state(p), SearchStats())
     after = sum(d.size(x) for x in p.variables)
     if out.consistent:
         assert before - after == out.removed
@@ -486,8 +476,8 @@ def test_passed_deadline_stops_before_the_first_revision(scheme, policy):
     s = Stats()
     with pytest.raises(TimeoutError):
         propagate(
-            p, DomainStore(p), policy, initial_queue(p, scheme),
-            stats=s, deadline=time.monotonic() - 1.0,
+            DomainStore(p), policy, initial_queue(p, scheme), unit_state(p), s,
+            deadline=time.monotonic() - 1.0,
         )
     assert (s.checks, s.revisions, s.dwos) == (0, 0, 0)
 
@@ -501,6 +491,6 @@ def test_deadline_checked_once_per_selection(scheme, monkeypatch):
     p = gen_model_d(n=8, d=4, e=14, t=0.3, seed=1)
     s = Stats()
     with pytest.raises(TimeoutError):
-        propagate(p, DomainStore(p), POLICIES_BY_SCHEME[scheme][0],
-                  initial_queue(p, scheme), stats=s, deadline=3)
+        propagate(DomainStore(p), POLICIES_BY_SCHEME[scheme][0],
+                  initial_queue(p, scheme), unit_state(p), s, deadline=3)
     assert s.revisions == 3
