@@ -14,13 +14,14 @@ from typing import Callable, Iterable
 
 PREDICATES = ("eq", "ne", "lt", "le", "gt", "ge", "dist_ne", "dist_gt")
 
-_PLAIN_PREDS: dict[str, Callable[[int, int], bool]] = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
+# Each is a Constraint.test itself, so a check costs one Python call.
+_PLAIN_PREDS: dict[str, Callable[[tuple[int, ...]], bool]] = {
+    "eq": lambda t: t[0] == t[1],
+    "ne": lambda t: t[0] != t[1],
+    "lt": lambda t: t[0] < t[1],
+    "le": lambda t: t[0] <= t[1],
+    "gt": lambda t: t[0] > t[1],
+    "ge": lambda t: t[0] >= t[1],
 }
 
 
@@ -82,8 +83,7 @@ class Constraint:
             else:
                 if self.k is not None:
                     raise InstanceError(f"constraint {self.id}: predicate {self.pred} takes no k")
-                fn = _PLAIN_PREDS[self.pred]
-                self.test = lambda t: fn(t[0], t[1])
+                self.test = _PLAIN_PREDS[self.pred]
         else:
             raise InstanceError(f"constraint {self.id}: unknown kind {self.kind!r}")
 
@@ -162,26 +162,26 @@ def check_tuple(constraint: Constraint, values: tuple[int, ...], stats) -> bool:
     return constraint.test(values)
 
 
-def seek_support(d: "DomainStore", c: Constraint, x: str, a: int, stats) -> bool:
-    """Search a supporting tuple for x=a on c over the other variables' current domains.
+def seek_support(
+    c: Constraint, i: int, a: int, others: list[list[int]], stats
+) -> bool:
+    """Search a supporting tuple for value a at scope position i of c.
 
-    Enumeration is lexicographic over current domain order, in scope order, so
-    check counts are deterministic.
+    `others` holds the live values of c's other scope variables, in scope
+    order without position i. It is valid only while those domains do not
+    change, that is, within one revision. Enumeration is lexicographic over
+    `others`, so check counts are deterministic.
     """
-    scope = c.scope
-    i = scope.index(x)
-    if len(scope) == 2:
-        y = scope[1 - i]
+    if len(others) == 1:
         if i == 0:
-            for b in d.current(y):
+            for b in others[0]:
                 if check_tuple(c, (a, b), stats):
                     return True
         else:
-            for b in d.current(y):
+            for b in others[0]:
                 if check_tuple(c, (b, a), stats):
                     return True
         return False
-    others = [d.current(y) for j, y in enumerate(scope) if j != i]
     for combo in product(*others):
         t = combo[:i] + (a,) + combo[i:]
         if check_tuple(c, t, stats):

@@ -134,15 +134,21 @@ class RevisionQueue:
             self.ctr[(c.id, x)] = 0
 
 
-def needs_not_be_revised(q: RevisionQueue, c: Constraint, x: str) -> bool:
-    """True when x is the only variable of c with pending removals.
+def needs_not_be_revised(q: RevisionQueue, c: Constraint) -> str | None:
+    """The scope variable of c whose revision is provably redundant, or None.
 
-    Removing values from x cannot destroy supports of x's remaining values on
-    c, so such a revision is provably redundant.
+    That variable is the only one of c with pending removals: removing values
+    from it cannot destroy supports of its remaining values on c. None when
+    no variable or more than one has pending removals. Reads each of c's ctr
+    entries at most once.
     """
-    if q.ctr_of(c.id, x) <= 0:
-        return False
-    return all(y == x or q.ctr_of(c.id, y) <= 0 for y in c.scope)
+    redundant = None
+    for y in c.scope:
+        if q.ctr_of(c.id, y) > 0:
+            if redundant is not None:
+                return None
+            redundant = y
+    return redundant
 
 
 def initial_queue(problem: Problem, scheme: str) -> RevisionQueue:
@@ -199,10 +205,19 @@ def update_queue(problem: Problem, scheme: str, x: str, removed: int) -> Revisio
 
 
 def revise(d: DomainStore, c: Constraint, x: str, stats) -> int:
-    """Remove the values of x without support on c; returns the removal count."""
+    """Remove the values of x without support on c; returns the removal count.
+
+    Only x loses values while x is revised, so x's scope position and the
+    other scope variables' live values (`others`) are read once, before the
+    first value. `others` is valid only within this revision: once another
+    scope domain changes it is stale.
+    """
+    scope = c.scope
+    i = scope.index(x)
+    others = [d.current(y) for y in scope if y != x]
     removed = 0
     for a in d.current(x):
-        if not seek_support(d, c, x, a, stats):
+        if not seek_support(c, i, a, others, stats):
             d.remove(x, a)
             removed += 1
     return removed
@@ -291,8 +306,11 @@ def propagate(
             # read lazily: revising an earlier constraint can raise this ctr
             if by_variable and queue.ctr_of(c.id, elem) == 0:
                 continue
+            # read c's ctr once: _requeue skips c, so c's own removals never
+            # bump it and the redundant revision stays the same for the loop
+            redundant = needs_not_be_revised(queue, c)
             for y in c.scope:
-                if needs_not_be_revised(queue, c, y):
+                if y == redundant:
                     continue
                 removed = revise(d, c, y, stats)
                 if removed > 0 and (wiped := revised(c, y, removed)):

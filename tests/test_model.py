@@ -1,4 +1,5 @@
 import json
+import operator
 import random
 
 import pytest
@@ -119,6 +120,22 @@ def test_predicate_semantics():
     assert check_tuple(dg, (1, 4), s) and not check_tuple(dg, (1, 2), s)
 
 
+@pytest.mark.parametrize("name", ["eq", "ne", "lt", "le", "gt", "ge"])
+def test_plain_predicates_agree_with_operator(name):
+    c = pred("c", ("x", "y"), name)
+    op = getattr(operator, name)
+    s = Stats()
+    pairs = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
+    for n, (a, b) in enumerate(pairs, 1):
+        assert check_tuple(c, (a, b), s) is op(a, b)
+        assert s.checks == n
+    with pytest.raises(InstanceError):
+        check_tuple(c, (1,), s)
+    with pytest.raises(InstanceError):
+        check_tuple(c, (1, 2, 3), s)
+    assert s.checks == len(pairs)
+
+
 def test_table_semantics():
     s = Stats()
     al = Constraint(
@@ -140,10 +157,11 @@ def test_seek_support_binary():
     d = DomainStore(p)
     c = p.constraints[0]  # x < y
     s = Stats()
-    assert seek_support(d, c, "x", 1, s) is True
-    assert seek_support(d, c, "x", 3, s) is False
-    assert seek_support(d, c, "y", 1, s) is False
-    assert seek_support(d, c, "y", 3, s) is True
+    ys, xs = [d.current("y")], [d.current("x")]
+    assert seek_support(c, 0, 1, ys, s) is True
+    assert seek_support(c, 0, 3, ys, s) is False
+    assert seek_support(c, 1, 1, xs, s) is False
+    assert seek_support(c, 1, 3, xs, s) is True
     assert s.checks > 0
 
 
@@ -154,7 +172,7 @@ def test_seek_support_respects_current_domain():
     d.remove("y", 2)
     d.remove("y", 3)
     s = Stats()
-    assert seek_support(d, c, "x", 1, s) is False  # only y=1 left
+    assert seek_support(c, 0, 1, [d.current("y")], s) is False  # only y=1 left
 
 
 def test_seek_support_nary():
@@ -172,8 +190,9 @@ def test_seek_support_nary():
     )
     d = DomainStore(p)
     s = Stats()
-    assert seek_support(d, c, "z", 2, s) is True
-    assert seek_support(d, c, "z", 1, s) is False
+    others = [d.current("x"), d.current("y")]
+    assert seek_support(c, 2, 2, others, s) is True
+    assert seek_support(c, 2, 1, others, s) is False
 
 
 def test_domain_store_basics():

@@ -1,9 +1,11 @@
+import collections
 import itertools
 import time
 import types
 
 import pytest
 
+from nary import gen_nary
 from oracle import ac_fixpoint
 from macsolver import propagation
 from macsolver.heuristics import HeuristicState, WeightStore
@@ -12,6 +14,7 @@ from macsolver.model import Constraint, DomainStore, Problem, SearchStats
 from macsolver.propagation import (
     POLICIES_BY_SCHEME,
     RevisionQueue,
+    _requeue,
     initial_queue,
     needs_not_be_revised,
     propagate,
@@ -66,6 +69,44 @@ def test_revise_removes_unsupported():
     assert revise(d, p.by_id["cxy"], "x", s) == 1  # x=3 has no y above it
     assert sorted(d.current("x")) == [1, 2]
     assert revise(d, p.by_id["cxy"], "x", s) == 0  # already supported
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+def test_revise_reads_each_domain_once(monkeypatch, size):
+    binary = Problem(
+        name="pair",
+        variables=("x", "y"),
+        domains={"x": tuple(range(size)), "y": tuple(range(size))},
+        constraints=(pred("c", ("x", "y"), "lt"),),
+    )
+    scope = ("w", "x", "y", "z")
+    table = Constraint(
+        id="t",
+        scope=scope,
+        kind="allowed",
+        tuples=frozenset(t for t in itertools.product(range(size), repeat=4) if sum(t) % 3),
+    )
+    nary = Problem(
+        name="quad",
+        variables=scope,
+        domains={x: tuple(range(size)) for x in scope},
+        constraints=(table,),
+    )
+    reads = collections.Counter()
+    current = DomainStore.current
+
+    def counted(self, x):
+        reads[x] += 1
+        return current(self, x)
+
+    monkeypatch.setattr(DomainStore, "current", counted)
+    for p in (binary, nary):
+        c = p.constraints[0]
+        for x in c.scope:  # x at every scope position, 0 and 1 included
+            d = DomainStore(p)
+            reads.clear()
+            revise(d, c, x, Stats())
+            assert reads == {y: 1 for y in c.scope}, (p.name, x)
 
 
 @pytest.mark.parametrize("scheme,policy", ALL_COMBOS)
@@ -149,16 +190,60 @@ def test_needs_not_be_revised():
         tuples=frozenset({(0, 0, 0)}),
     )
     q = RevisionQueue("variable")
-    # no removals anywhere: revision of x is not provably redundant
-    assert not needs_not_be_revised(q, c, "x")
+    # no removals anywhere: no revision is provably redundant
+    assert needs_not_be_revised(q, c) is None
     q.bump("c", "x", 1)
-    # x is the only variable with pending removals: x needs no revision...
-    assert needs_not_be_revised(q, c, "x")
-    # ...but the others do
-    assert not needs_not_be_revised(q, c, "y")
+    # x is the only variable with pending removals: x needs no revision,
+    # and only x, so the others do
+    assert needs_not_be_revised(q, c) == "x"
     q.bump("c", "y", 1)
     # another variable has removals too, x must be revised again
-    assert not needs_not_be_revised(q, c, "x")
+    assert needs_not_be_revised(q, c) is None
+
+
+# n-ary seed 0 reaches a fixpoint, seed 1 wipes out
+CTR_PROBLEMS = pytest.mark.parametrize(
+    "make", [chain_problem, lambda: gen_nary(0), lambda: gen_nary(1)],
+    ids=["chain", "nary-0", "nary-1"],
+)
+
+
+@pytest.mark.parametrize("scheme", ["variable", "constraint"])
+@CTR_PROBLEMS
+def test_requeue_leaves_the_skipped_constraints_ctr_alone(scheme, make):
+    p = make()
+    for c in p.constraints:
+        for x in c.scope:
+            q = initial_queue(p, scheme)
+            before = {y: q.ctr_of(c.id, y) for y in c.scope}
+            _requeue(p, q, x, 2, skip=c)
+            assert {y: q.ctr_of(c.id, y) for y in c.scope} == before, (c.id, x)
+
+
+@pytest.mark.parametrize("scheme,policy", [
+    (s, p) for s, p in ALL_COMBOS if s != "arc"
+])
+@CTR_PROBLEMS
+def test_propagate_reads_redundancy_once_per_constraint(monkeypatch, scheme, policy, make):
+    # a processed constraint ends in reset_ctr, or in the wipeout that stops
+    # propagation; needs_not_be_revised is called once for each of them
+    asked, reset = [], []
+    real_needs, real_reset = needs_not_be_revised, RevisionQueue.reset_ctr
+
+    def counted_needs(q, c):
+        asked.append(c.id)
+        return real_needs(q, c)
+
+    def counted_reset(q, c):
+        reset.append(c.id)
+        real_reset(q, c)
+
+    monkeypatch.setattr(propagation, "needs_not_be_revised", counted_needs)
+    monkeypatch.setattr(RevisionQueue, "reset_ctr", counted_reset)
+    p = make()
+    _, out = run_to_fixpoint(p, scheme, policy)
+    wiped = [] if out.consistent else [out.dwo_constraint]
+    assert asked and asked == reset + wiped
 
 
 def test_initial_queue_seeds_everything():
