@@ -223,16 +223,25 @@ def read_csv(path: str | Path) -> list[ResultRow]:
 
 
 def read_csv_text(text: str) -> list[ResultRow]:
-    """Parse rows back from CSV text produced by csv_text/write_csv."""
+    """Parse rows back from CSV text produced by csv_text/write_csv.
+
+    Raises ValueError on an empty text, a foreign header, or a row whose field
+    count differs from the header's, naming the row's line.
+    """
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
+    header = next(reader, None)
+    if header is None:
+        raise ValueError("empty results CSV: no header line")
     if tuple(header) != COLUMNS:
         raise ValueError(f"unexpected CSV header {header}")
-    return [
-        ResultRow(**{col: _PARSERS[col](text) for col, text in zip(COLUMNS, rec)})
-        for rec in reader
-        if rec
-    ]
+    rows = []
+    for rec in filter(None, reader):  # blank lines carry no row
+        if len(rec) != len(COLUMNS):
+            raise ValueError(
+                f"CSV line {reader.line_num}: {len(rec)} fields, expected {len(COLUMNS)}"
+            )
+        rows.append(ResultRow(**{col: _PARSERS[col](v) for col, v in zip(COLUMNS, rec)}))
+    return rows
 
 
 def format_table(rows: list[ResultRow]) -> str:

@@ -29,12 +29,12 @@ def _inverse(problem: Problem, d: DomainStore, arc: tuple[str, str], weight_of) 
     )
 
 
-# scheme -> policy -> score builder. A builder takes (problem, d, weights,
-# wdeg), where weights.get(cid) is a constraint weight and wdeg(x) a weighted
-# degree, and returns the key under which select_next revises the pending
-# element with the smallest score first, first inserted on ties. None is fifo.
-# Under the variable scheme, a policy named v_* is weight-driven: it also
-# revises each selected variable's constraints heaviest first.
+# scheme -> policy -> score builder, None for fifo. propagate calls a builder
+# once per call with (problem, d, weights, wdeg), objects fixed for the call:
+# weights.get(cid) is a constraint weight, wdeg(x) a weighted degree. The key
+# it returns reads them live; select_next pops the smallest, first inserted on
+# ties. Under the variable scheme, a policy named v_* is weight-driven: it
+# also revises each selected variable's constraints heaviest first.
 SCORE_BUILDERS = {
     "arc": {
         "fifo": None,
@@ -71,11 +71,13 @@ POLICIES_BY_SCHEME = {
 }
 
 
-def validate_policy(scheme: str, policy: str) -> None:
+def validate_policy(scheme: str, policy: str):
+    """`policy`'s score builder (None for fifo); ValueError if it does not fit."""
     if scheme not in SCORE_BUILDERS:
         raise ValueError(f"unknown propagation scheme {scheme!r}")
     if policy not in SCORE_BUILDERS[scheme]:
         raise ValueError(f"revision policy {policy!r} does not fit scheme {scheme!r}")
+    return SCORE_BUILDERS[scheme][policy]
 
 
 @dataclass
@@ -223,18 +225,12 @@ def revise(d: DomainStore, c: Constraint, x: str, stats) -> int:
     return removed
 
 
-def select_next(problem: Problem, q: RevisionQueue, policy: str, d: DomainStore, weights, wdeg):
-    """Pop the next element to revise under `policy` (FIFO tie-break).
+def select_next(q: RevisionQueue, key):
+    """Pop the pending element with the smallest key, first inserted on ties.
 
-    `weights` supplies per-constraint weights via .get(cid); `wdeg` is a
-    callable giving a variable's weighted degree. The policy's score is
-    looked up once; min() keeps the first-inserted of equal scores.
+    With key None (fifo) that is the first inserted element.
     """
-    build = SCORE_BUILDERS[q.kind][policy]
-    if build is None:
-        elem = next(iter(q._pending))
-    else:
-        elem = min(q._pending, key=build(problem, d, weights, wdeg))
+    elem = next(iter(q._pending)) if key is None else min(q._pending, key=key)
     q.take(elem)
     return elem
 
@@ -251,17 +247,19 @@ def propagate(
     """Run the queue to fixpoint or to the first domain wipeout.
 
     The problem is hstate.problem, the scheme is the queue's kind, and policy
-    must fit it. The revisions counter advances once per queue selection and
-    the checks counter inside check_tuple. Weight-update events (fruitful
-    revisions, DWOs) are forwarded to hstate.weights unless update_weights is
-    False (lookahead probing must not touch weights). Raises TimeoutError
-    when a selection would start past the deadline.
+    must fit it; its key is built once per call, over objects fixed for the
+    call. The revisions counter advances once per queue selection and the
+    checks counter inside check_tuple. Weight-update events (fruitful
+    revisions, DWOs) go to hstate.weights unless update_weights is False
+    (lookahead probing must not touch weights). Raises TimeoutError when a
+    selection would start past the deadline.
     """
     scheme = queue.kind
-    validate_policy(scheme, policy)
+    build = validate_policy(scheme, policy)
     problem = hstate.problem
     weights = hstate.weights
-    wdeg = hstate.wdeg
+    key = None if build is None else build(problem, d, weights, hstate.wdeg)
+    heaviest_first = (lambda c: -weights.get(c.id)) if policy.startswith("v_") else None
     fruitful: set[str] = set()
     total_removed = 0
 
@@ -283,12 +281,11 @@ def propagate(
 
     arc = scheme == "arc"
     by_variable = scheme == "variable"
-    weight_ordered = policy.startswith("v_")
     while queue:
         if time.monotonic() >= deadline:
             raise TimeoutError
         stats.revisions += 1
-        elem = select_next(problem, queue, policy, d, weights, wdeg)
+        elem = select_next(queue, key)
         if arc:
             cid, x = elem
             c = problem.by_id[cid]
@@ -298,8 +295,8 @@ def propagate(
             continue
         if by_variable:
             cs = problem.constraints_on[elem]
-            if weight_ordered:
-                cs = sorted(cs, key=lambda c: -weights.get(c.id))
+            if heaviest_first is not None:
+                cs = sorted(cs, key=heaviest_first)
         else:
             cs = (problem.by_id[elem],)
         for c in cs:

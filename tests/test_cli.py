@@ -3,10 +3,11 @@ import json
 import pytest
 
 from macsolver.cli import main
-from macsolver.harness import read_csv
+from macsolver.harness import COLUMNS, read_csv
 from macsolver.instances import gen_langford
 from macsolver.model import dump_problem
 from macsolver.search import MODES, VALUE_ORDERS
+from test_harness import make_row
 from test_search import ne_chain
 
 
@@ -237,3 +238,20 @@ def test_report_variance(tmp_path, capsys):
     assert len(lines) == 2
     assert lines[1].startswith("queens-5,dom,")
     float(lines[1].split(",")[2])  # parses as a number
+
+
+def test_report_rejects_a_malformed_csv(tmp_path, capsys):
+    header = ",".join(COLUMNS)
+    row = ",".join(map(str, make_row().to_list()))
+    short = row.rsplit(",", 3)[0]
+    for name, text in (
+        ("empty", ""),
+        ("short", f"{header}\n{row}\n{short}\n"),
+        ("long", f"{header}\n{row},1\n"),
+    ):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text)
+        code, out, err = run(capsys, "report", "variance", str(path))
+        assert code == 3, name
+        assert "error:" in err and "internal" not in err and "Traceback" not in err, name
+        assert out == "", name

@@ -311,6 +311,21 @@ def test_read_csv_rejects_foreign_header():
         read_csv_text("a,b,c\n1,2,3\n")
 
 
+def test_read_csv_rejects_an_empty_text():
+    with pytest.raises(ValueError, match="empty"):
+        read_csv_text("")
+
+
+@pytest.mark.parametrize("cut", [
+    lambda fields: fields[:-3], lambda fields: fields + ["1"],
+], ids=["short", "long"])
+def test_read_csv_rejects_a_row_of_the_wrong_width(cut):
+    header, first, second = csv_text([make_row(), make_row(seed=1)]).splitlines()
+    bad = ",".join(cut(second.split(",")))
+    with pytest.raises(ValueError, match="line 3"):
+        read_csv_text("\n".join([header, first, bad]) + "\n")
+
+
 def test_format_table_aligns():
     rows = [make_row(), make_row(instance="langford-2-4", nodes=123456)]
     table = format_table(rows)

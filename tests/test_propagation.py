@@ -13,6 +13,7 @@ from macsolver.instances import gen_model_d
 from macsolver.model import Constraint, DomainStore, Problem, SearchStats
 from macsolver.propagation import (
     POLICIES_BY_SCHEME,
+    SCORE_BUILDERS,
     RevisionQueue,
     _requeue,
     initial_queue,
@@ -246,6 +247,25 @@ def test_propagate_reads_redundancy_once_per_constraint(monkeypatch, scheme, pol
     assert asked and asked == reset + wiped
 
 
+@pytest.mark.parametrize("scheme,policy", [
+    (s, p) for s, p in ALL_COMBOS if p != "fifo"
+])
+@CTR_PROBLEMS
+def test_propagate_builds_the_key_once_per_call(monkeypatch, scheme, policy, make):
+    build = SCORE_BUILDERS[scheme][policy]
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return build(*args)
+
+    monkeypatch.setitem(SCORE_BUILDERS[scheme], policy, counted)
+    stats = SearchStats()
+    run_to_fixpoint(make(), scheme, policy, stats)
+    assert stats.revisions > 1
+    assert len(built) == 1
+
+
 def test_initial_queue_seeds_everything():
     p = chain_problem()
     q = initial_queue(p, "arc")
@@ -289,9 +309,10 @@ def test_update_queue_zero_removals_is_noop():
 
 
 def test_validate_policy():
-    validate_policy("arc", "a_dom/wdeg")
-    validate_policy("variable", "v_wdeg")
-    validate_policy("constraint", "c_wcon")
+    for scheme, policy in ALL_COMBOS:
+        assert validate_policy(scheme, policy) is SCORE_BUILDERS[scheme][policy]
+    assert validate_policy("arc", "fifo") is None
+    assert validate_policy("variable", "fifo") is None
     with pytest.raises(ValueError):
         validate_policy("nosuch", "fifo")
     with pytest.raises(ValueError):
@@ -317,6 +338,12 @@ class DictWeights:
         return self.table[cid]
 
 
+def select_under(p, q, policy, d, weights, wdeg):
+    # select_next with the key propagate builds for policy
+    build = SCORE_BUILDERS[q.kind][policy]
+    return select_next(q, None if build is None else build(p, d, weights, wdeg))
+
+
 def selection_problem():
     # a: 4 values, b: 1 value, e: 2 values; c1 on (a,b), c2 on (a,e)
     return Problem(
@@ -336,12 +363,12 @@ def test_select_next_fifo_and_dom():
     q = RevisionQueue("arc")
     q.add(("c2", "a"))
     q.add(("c1", "b"))
-    assert select_next(p, q, "fifo", d, w, wdeg) == ("c2", "a")
+    assert select_under(p, q, "fifo", d, w, wdeg) == ("c2", "a")
 
     q = RevisionQueue("arc")
     q.add(("c2", "a"))  # |D(a)| = 4
     q.add(("c1", "b"))  # |D(b)| = 1
-    assert select_next(p, q, "dom", d, w, wdeg) == ("c1", "b")
+    assert select_under(p, q, "dom", d, w, wdeg) == ("c1", "b")
 
 
 def test_select_next_fifo_breaks_score_ties():
@@ -351,7 +378,7 @@ def test_select_next_fifo_breaks_score_ties():
     q = RevisionQueue("arc")
     q.add(("c1", "a"))
     q.add(("c2", "a"))  # same variable, same score
-    assert select_next(p, q, "dom", d, w, lambda x: 1) == ("c1", "a")
+    assert select_under(p, q, "dom", d, w, lambda x: 1) == ("c1", "a")
 
 
 def test_select_next_weight_policies():
@@ -363,22 +390,22 @@ def test_select_next_weight_policies():
     q = RevisionQueue("arc")
     q.add(("c1", "a"))
     q.add(("c2", "a"))
-    assert select_next(p, q, "a_wcon", d, w, wdeg) == ("c2", "a")  # heaviest constraint
+    assert select_under(p, q, "a_wcon", d, w, wdeg) == ("c2", "a")  # heaviest constraint
 
     q = RevisionQueue("arc")
     q.add(("c1", "a"))
     q.add(("c1", "b"))
-    assert select_next(p, q, "a_wdeg", d, w, wdeg) == ("c1", "b")  # max wdeg
+    assert select_under(p, q, "a_wdeg", d, w, wdeg) == ("c1", "b")  # max wdeg
 
     q = RevisionQueue("arc")
     q.add(("c1", "a"))  # 4/1 = 4
     q.add(("c1", "b"))  # 1/7
-    assert select_next(p, q, "a_dom/wdeg", d, w, wdeg) == ("c1", "b")
+    assert select_under(p, q, "a_dom/wdeg", d, w, wdeg) == ("c1", "b")
 
     q = RevisionQueue("arc")
     q.add(("c1", "a"))  # 4/1 = 4
     q.add(("c2", "a"))  # 4/5
-    assert select_next(p, q, "a_dom/wcon", d, w, wdeg) == ("c2", "a")
+    assert select_under(p, q, "a_dom/wcon", d, w, wdeg) == ("c2", "a")
 
 
 def test_select_next_inverse_policies_score_other_variables():
@@ -392,14 +419,14 @@ def test_select_next_inverse_policies_score_other_variables():
     q = RevisionQueue("arc")
     q.add(("c2", "a"))
     q.add(("c1", "a"))
-    assert select_next(p, q, "a_dom/wdeg_inverse", d, w, wdeg) == ("c1", "a")
+    assert select_under(p, q, "a_dom/wdeg_inverse", d, w, wdeg) == ("c1", "a")
 
     w2 = DictWeights({"c1": 1, "c2": 4})
     # c1: min over {b} of 1/w(c1)=1; c2: min over {e} of 2/w(c2)=0.5
     q = RevisionQueue("arc")
     q.add(("c1", "a"))
     q.add(("c2", "a"))
-    assert select_next(p, q, "a_dom/wcon_inverse", d, w2, wdeg) == ("c2", "a")
+    assert select_under(p, q, "a_dom/wcon_inverse", d, w2, wdeg) == ("c2", "a")
 
 
 def test_select_next_variable_policies():
@@ -411,17 +438,17 @@ def test_select_next_variable_policies():
     q = RevisionQueue("variable")
     q.add("a")
     q.add("b")
-    assert select_next(p, q, "dom", d, w, wdeg) == "b"
+    assert select_under(p, q, "dom", d, w, wdeg) == "b"
 
     q = RevisionQueue("variable")
     q.add("a")
     q.add("b")
-    assert select_next(p, q, "v_wdeg", d, w, wdeg) == "b"
+    assert select_under(p, q, "v_wdeg", d, w, wdeg) == "b"
 
     q = RevisionQueue("variable")
     q.add("a")  # 4/1
     q.add("e")  # 2/2
-    assert select_next(p, q, "v_dom/wdeg", d, w, wdeg) == "e"
+    assert select_under(p, q, "v_dom/wdeg", d, w, wdeg) == "e"
 
 
 def test_select_next_constraint_policy():
@@ -431,7 +458,7 @@ def test_select_next_constraint_policy():
     q = RevisionQueue("constraint")
     q.add("c1")
     q.add("c2")
-    assert select_next(p, q, "c_wcon", d, w, lambda x: 1) == "c2"
+    assert select_under(p, q, "c_wcon", d, w, lambda x: 1) == "c2"
 
 
 def tied_problem():
@@ -463,8 +490,8 @@ def test_select_next_ties_go_to_first_inserted(scheme, policy):
     q = RevisionQueue(scheme)
     for elem in TIED_ORDER[scheme]:
         q.add(elem)
-    assert select_next(p, q, policy, d, w, lambda x: 6) == TIED_ORDER[scheme][0]
-    assert select_next(p, q, policy, d, w, lambda x: 6) == TIED_ORDER[scheme][1]
+    assert select_under(p, q, policy, d, w, lambda x: 6) == TIED_ORDER[scheme][0]
+    assert select_under(p, q, policy, d, w, lambda x: 6) == TIED_ORDER[scheme][1]
 
 
 def example1_problem():
