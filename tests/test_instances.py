@@ -1,7 +1,13 @@
+import hashlib
+import importlib.util
+import json
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import grid
 from oracle import count_solutions, satisfiable
 from macsolver.instances import (
     gen_chessboard,
@@ -13,6 +19,10 @@ from macsolver.instances import (
     parse_spec,
 )
 from macsolver.model import dump_problem, load_problem
+
+# SHA-256 of dump_problem(parse_spec(spec)) for every benchmark and grid spec,
+# plus edge parameters; dump_problem sorts each table, so no hash seed leaks in
+DIGESTS = json.loads(Path(__file__).with_name("instance_digests.json").read_text())
 
 
 class Stats:
@@ -209,3 +219,23 @@ def test_is_spec():
     assert is_spec("modelD:n=5,d=3,e=6,t=0.5")
     assert not is_spec("queens")
     assert not is_spec("instances/queens8.json")
+
+
+@pytest.mark.parametrize("spec", DIGESTS)
+def test_generated_instance_matches_pinned_digest(spec):
+    text = dump_problem(parse_spec(spec))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[spec]
+
+
+def test_instance_digests_cover_the_benchmark_and_grid_specs():
+    path = Path(__file__).parents[1] / "perfbench" / "cases.py"
+    loader = importlib.util.spec_from_file_location("perfbench_cases", path)
+    cases = importlib.util.module_from_spec(loader)
+    sys.modules[loader.name] = cases  # dataclasses look their module up
+    try:
+        loader.loader.exec_module(cases)
+    finally:
+        del sys.modules[loader.name]
+    specs = {case.spec for make in cases.WORKLOADS.values() for case in make()}
+    assert len(specs) == 25
+    assert specs | set(grid.FAMILIES.values()) <= set(DIGESTS)
