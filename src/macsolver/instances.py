@@ -12,6 +12,17 @@ from itertools import combinations
 from .model import Constraint, Problem
 
 
+def _problem(name: str, variables: tuple[str, ...], size: int, specs: list[dict]) -> Problem:
+    """Assemble a generated instance over uniform domains ``range(size)``.
+
+    Each spec holds one constraint's keyword arguments except its id; the
+    constraints are numbered c0, c1, ... in the order given.
+    """
+    domains = {x: tuple(range(size)) for x in variables}
+    constraints = tuple(Constraint(id=f"c{i}", **spec) for i, spec in enumerate(specs))
+    return Problem(name, variables, domains, constraints)
+
+
 def gen_model_d(n: int, d: int, e: int, t: float, seed: int) -> Problem:
     """Random binary CSP: e distinct constrained pairs, tuple-wise tightness t.
 
@@ -41,12 +52,11 @@ def _random_binary(n: int, d: int, e: int, t: float, seed: int, planted: bool) -
         raise ValueError(f"e must be in [0, {max_pairs}] for n={n}")
     rng = random.Random(seed)
     variables = tuple(f"x{i}" for i in range(n))
-    domains = {x: tuple(range(d)) for x in variables}
     # the planted values come first from the generator, before the pairs
     values = [rng.randrange(d) for _ in range(n)] if planted else None
     pairs = rng.sample(list(combinations(range(n), 2)), e)
-    constraints = []
-    for idx, (i, j) in enumerate(pairs):
+    specs = []
+    for i, j in pairs:
         keep = (values[i], values[j]) if planted else None
         forbidden = frozenset(
             (a, b)
@@ -54,20 +64,11 @@ def _random_binary(n: int, d: int, e: int, t: float, seed: int, planted: bool) -
             for b in range(d)
             if (a, b) != keep and rng.random() < t
         )
-        constraints.append(
-            Constraint(
-                id=f"c{idx}",
-                scope=(variables[i], variables[j]),
-                kind="forbidden",
-                tuples=forbidden,
-            )
+        specs.append(
+            dict(scope=(variables[i], variables[j]), kind="forbidden", tuples=forbidden)
         )
-    return Problem(
-        name=f"{'modelRB' if planted else 'modelD'}-{n}-{d}-{e}-{t}-{seed}",
-        variables=variables,
-        domains=domains,
-        constraints=tuple(constraints),
-    )
+    name = f"{'modelRB' if planted else 'modelD'}-{n}-{d}-{e}-{t}-{seed}"
+    return _problem(name, variables, d, specs)
 
 
 def gen_langford(k: int, n: int) -> Problem:
@@ -82,33 +83,18 @@ def gen_langford(k: int, n: int) -> Problem:
         raise ValueError("need k >= 2 and n >= 1")
     size = k * n
     variables = tuple(f"p{i}_{j}" for i in range(n) for j in range(k))
-    domains = {x: tuple(range(size)) for x in variables}
-    constraints = []
-    cid = 0
-    for a, b in combinations(variables, 2):
-        constraints.append(
-            Constraint(id=f"c{cid}", scope=(a, b), kind="predicate", pred="ne")
-        )
-        cid += 1
+    specs = [
+        dict(scope=pair, kind="predicate", pred="ne")
+        for pair in combinations(variables, 2)
+    ]
     for i in range(n):
         gap = i + 2
         table = frozenset((q, q + gap) for q in range(size - gap))
-        for j in range(k - 1):
-            constraints.append(
-                Constraint(
-                    id=f"c{cid}",
-                    scope=(f"p{i}_{j}", f"p{i}_{j + 1}"),
-                    kind="allowed",
-                    tuples=table,
-                )
-            )
-            cid += 1
-    return Problem(
-        name=f"langford-{k}-{n}",
-        variables=variables,
-        domains=domains,
-        constraints=tuple(constraints),
-    )
+        specs.extend(
+            dict(scope=(f"p{i}_{j}", f"p{i}_{j + 1}"), kind="allowed", tuples=table)
+            for j in range(k - 1)
+        )
+    return _problem(f"langford-{k}-{n}", variables, size, specs)
 
 
 def gen_queens(n: int) -> Problem:
@@ -116,35 +102,12 @@ def gen_queens(n: int) -> Problem:
     if n < 1:
         raise ValueError("need n >= 1")
     variables = tuple(f"q{i}" for i in range(n))
-    domains = {x: tuple(range(n)) for x in variables}
-    constraints = []
-    cid = 0
+    specs = []
     for i, j in combinations(range(n), 2):
-        constraints.append(
-            Constraint(
-                id=f"c{cid}",
-                scope=(variables[i], variables[j]),
-                kind="predicate",
-                pred="ne",
-            )
-        )
-        cid += 1
-        constraints.append(
-            Constraint(
-                id=f"c{cid}",
-                scope=(variables[i], variables[j]),
-                kind="predicate",
-                pred="dist_ne",
-                k=j - i,
-            )
-        )
-        cid += 1
-    return Problem(
-        name=f"queens-{n}",
-        variables=variables,
-        domains=domains,
-        constraints=tuple(constraints),
-    )
+        scope = (variables[i], variables[j])
+        specs.append(dict(scope=scope, kind="predicate", pred="ne"))
+        specs.append(dict(scope=scope, kind="predicate", pred="dist_ne", k=j - i))
+    return _problem(f"queens-{n}", variables, n, specs)
 
 
 def gen_chessboard(rows: int, cols: int, colors: int) -> Problem:
@@ -155,23 +118,17 @@ def gen_chessboard(rows: int, cols: int, colors: int) -> Problem:
     if rows < 2 or cols < 2 or colors < 1:
         raise ValueError("need rows >= 2, cols >= 2, colors >= 1")
     variables = tuple(f"s{r}_{c}" for r in range(rows) for c in range(cols))
-    domains = {x: tuple(range(colors)) for x in variables}
     same = frozenset((a, a, a, a) for a in range(colors))
-    constraints = []
-    cid = 0
-    for r1, r2 in combinations(range(rows), 2):
-        for c1, c2 in combinations(range(cols), 2):
-            scope = (f"s{r1}_{c1}", f"s{r1}_{c2}", f"s{r2}_{c1}", f"s{r2}_{c2}")
-            constraints.append(
-                Constraint(id=f"c{cid}", scope=scope, kind="forbidden", tuples=same)
-            )
-            cid += 1
-    return Problem(
-        name=f"cc-{rows}-{cols}-{colors}",
-        variables=variables,
-        domains=domains,
-        constraints=tuple(constraints),
-    )
+    specs = [
+        dict(
+            scope=(f"s{r1}_{c1}", f"s{r1}_{c2}", f"s{r2}_{c1}", f"s{r2}_{c2}"),
+            kind="forbidden",
+            tuples=same,
+        )
+        for r1, r2 in combinations(range(rows), 2)
+        for c1, c2 in combinations(range(cols), 2)
+    ]
+    return _problem(f"cc-{rows}-{cols}-{colors}", variables, colors, specs)
 
 
 _FAMILIES = {
