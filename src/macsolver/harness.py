@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import logging
+import math
 import statistics
 from dataclasses import dataclass, fields, replace
 from itertools import product
@@ -19,11 +20,22 @@ from .search import SearchConfig, parse_restarts, solve
 log = logging.getLogger(__name__)
 
 
-def _num(text: str) -> int | float:
+def _count(text: str) -> int | float:
+    """A measured column: an int, or a float such as a seed group's mean."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        return float(text)
+        value = float(text)
+    if not 0 <= value < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"{text!r} is negative or not finite")
+    return value
+
+
+def _result(text: str) -> str:
+    # a run is sat, unsat or timeout; a seed group whose runs disagree is mixed
+    if text not in ("sat", "unsat", "timeout", "mixed"):
+        raise ValueError(f"{text!r} is not sat, unsat, timeout or mixed")
+    return text
 
 
 # CSV column -> the parser of its text, in column order
@@ -35,12 +47,12 @@ _PARSERS = {
     "restart": str,
     "value_order": str,
     "seed": lambda text: text if text == "avg" else int(text),
-    "result": str,
-    "time_ms": float,
-    "nodes": _num,
-    "checks": _num,
-    "revisions": _num,
-    "dwos": _num,
+    "result": _result,
+    "time_ms": lambda text: float(_count(text)),
+    "nodes": _count,
+    "checks": _count,
+    "revisions": _count,
+    "dwos": _count,
 }
 
 COLUMNS = tuple(_PARSERS)
@@ -225,8 +237,10 @@ def read_csv(path: str | Path) -> list[ResultRow]:
 def read_csv_text(text: str) -> list[ResultRow]:
     """Parse rows back from CSV text produced by csv_text/write_csv.
 
-    Raises ValueError on an empty text, a foreign header, or a row whose field
-    count differs from the header's, naming the row's line.
+    Raises ValueError on an empty text, a foreign header, a row whose field
+    count differs from the header's, or a value its column's parser rejects:
+    a seed neither an int nor "avg", an unknown result, or a negative or
+    non-finite time or counter. A row's error names its line and column.
     """
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
@@ -240,7 +254,14 @@ def read_csv_text(text: str) -> list[ResultRow]:
             raise ValueError(
                 f"CSV line {reader.line_num}: {len(rec)} fields, expected {len(COLUMNS)}"
             )
-        rows.append(ResultRow(**{col: _PARSERS[col](v) for col, v in zip(COLUMNS, rec)}))
+        values = {}
+        for col, raw in zip(COLUMNS, rec):
+            try:
+                values[col] = _PARSERS[col](raw)
+            except ValueError as err:
+                where = f"CSV line {reader.line_num}, column {col}"
+                raise ValueError(f"{where}: {err}") from None
+        rows.append(ResultRow(**values))
     return rows
 
 

@@ -3,11 +3,11 @@ import json
 import pytest
 
 from macsolver.cli import main
-from macsolver.harness import COLUMNS, read_csv
+from macsolver.harness import COLUMNS, csv_text, read_csv
 from macsolver.instances import gen_langford
 from macsolver.model import dump_problem
 from macsolver.search import MODES, VALUE_ORDERS
-from test_harness import make_row
+from test_harness import BAD_VALUES, make_row
 from test_search import ne_chain
 
 
@@ -255,3 +255,14 @@ def test_report_rejects_a_malformed_csv(tmp_path, capsys):
         assert code == 3, name
         assert "error:" in err and "internal" not in err and "Traceback" not in err, name
         assert out == "", name
+
+
+@pytest.mark.parametrize("column, value", BAD_VALUES)
+def test_report_rejects_a_bad_csv_value(tmp_path, capsys, column, value):
+    path = tmp_path / "rows.csv"
+    path.write_text(csv_text([make_row(), make_row(**{column: value})]))
+    code, out, err = run(capsys, "report", "variance", str(path))
+    assert code == 3
+    assert f"error: CSV line 3, column {column}: " in err
+    assert "internal" not in err and "Traceback" not in err
+    assert out == ""

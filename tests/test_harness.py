@@ -326,6 +326,30 @@ def test_read_csv_rejects_a_row_of_the_wrong_width(cut):
         read_csv_text("\n".join([header, first, bad]) + "\n")
 
 
+# (column, value) pairs that no results CSV may hold
+BAD_VALUES = [
+    ("time_ms", "nan"), ("time_ms", "-0.5"), ("nodes", "-5"), ("checks", "abc"),
+    ("revisions", "inf"), ("dwos", "1e999"), ("seed", "x"), ("seed", "1.5"),
+    ("result", "bogus"), ("result", ""),
+]
+
+
+@pytest.mark.parametrize("column, value", BAD_VALUES)
+def test_read_csv_rejects_a_bad_value_naming_its_line_and_column(column, value):
+    header, first, second = csv_text([make_row(), make_row(seed=1)]).splitlines()
+    fields = second.split(",")
+    fields[COLUMNS.index(column)] = value
+    text = "\n".join([header, first, ",".join(fields)]) + "\n"
+    with pytest.raises(ValueError, match=f"^CSV line 3, column {column}: "):
+        read_csv_text(text)
+
+
+def test_read_csv_accepts_every_result_and_an_averaged_row():
+    rows = [make_row(result=r) for r in ("sat", "unsat", "timeout")]
+    rows.append(make_row(seed="avg", result="mixed", time_ms=0.0, nodes=2.5, dwos=0))
+    assert read_csv_text(csv_text(rows)) == rows
+
+
 def test_format_table_aligns():
     rows = [make_row(), make_row(instance="langford-2-4", nodes=123456)]
     table = format_table(rows)
