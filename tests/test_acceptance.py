@@ -51,14 +51,6 @@ from macsolver.search import (
 ALL_COMBOS = [(s, p) for s, pols in POLICIES_BY_SCHEME.items() for p in pols]
 
 
-class Stats:
-    def __init__(self):
-        self.nodes = 0
-        self.checks = 0
-        self.revisions = 0
-        self.dwos = 0
-
-
 def test_criterion_01_fixpoint_equivalence():
     # 200 random binary instances (n <= 15, d <= 8), every scheme x policy
     # combination, compared exactly against an independent fixpoint oracle
@@ -271,7 +263,7 @@ def test_criterion_07_impact_machinery():
         d = DomainStore(p)
         store = ImpactStore()
         hstate = HeuristicState(p, WeightStore(p, "wdeg"), store)
-        ok = init_impacts(SearchContext(d, hstate, Stats(), "variable", "fifo"))
+        ok = init_impacts(SearchContext(d, hstate, SearchStats(), "variable", "fifo"))
         if not ok:
             continue
         exercised += 1

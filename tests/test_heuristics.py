@@ -36,15 +36,8 @@ from macsolver.model import Constraint, DomainStore, Problem, SearchStats
 from macsolver.search import random_probe
 
 
-class Stats:
-    def __init__(self):
-        self.nodes = 0
-        self.checks = 0
-        self.revisions = 0
-        self.dwos = 0
-
-    def tuple(self):
-        return (self.nodes, self.checks, self.revisions, self.dwos)
+def counters(s):
+    return (s.nodes, s.checks, s.revisions, s.dwos)
 
 
 def pred(cid, scope, name, k=None):
@@ -308,7 +301,7 @@ def test_rsc_tiebreak_prefers_larger_reduction():
     p = tiebreak_problem()
     d = DomainStore(p)
     hstate = fresh_state(p)
-    s = Stats()
+    s = SearchStats()
     h = VOHeuristic(base="dom", tiebreak="rsc")
     assert select_variable(context(d, hstate, s), h) == "t2"
     assert s.checks > 0  # probes are counted against the run
@@ -320,7 +313,7 @@ def test_node_impact_tiebreak_prefers_larger_impact():
     store = ImpactStore()
     hstate = fresh_state(p, impacts=store)
     h = VOHeuristic(base="dom", tiebreak="nodeimpact")
-    assert select_variable(context(d, hstate, Stats()), h) == "t2"
+    assert select_variable(context(d, hstate, SearchStats()), h) == "t2"
     # probes were recorded as observations
     assert store.known("t1", 0) and store.known("t2", 1)
 
@@ -342,7 +335,7 @@ def test_tiebreak_probes_prune_wiped_values():
     d = DomainStore(p)
     hstate = fresh_state(p)
     h = VOHeuristic(base="dom", tiebreak="rsc")
-    picked = select_variable(context(d, hstate, Stats()), h)
+    picked = select_variable(context(d, hstate, SearchStats()), h)
     assert picked == "t1"  # largest total reduction (its bad value wiped a lot)
     assert not d.contains("t1", 1)  # the failed probe value is gone for real
     assert d.contains("t1", 0)
@@ -365,7 +358,7 @@ def test_tiebreak_reports_wipeout_with_none():
         dd = DomainStore(p)
         st = fresh_state(p, impacts=ImpactStore())
         h = VOHeuristic(base="dom", tiebreak=tiebreak)
-        assert select_variable(context(dd, st, Stats()), h) is None
+        assert select_variable(context(dd, st, SearchStats()), h) is None
         assert dd.size("t1") == 0
 
 
@@ -373,7 +366,7 @@ def test_single_candidate_skips_probing():
     p = star_problem()
     d = DomainStore(p)
     hstate = fresh_state(p)
-    s = Stats()
+    s = SearchStats()
     h = VOHeuristic(base="dom", tiebreak="rsc")
     # x is the unique argmin; no probe should run
     assert select_variable(context(d, hstate, s), h) == "x"
@@ -435,7 +428,7 @@ def test_init_impacts_consistent():
     d = DomainStore(p)
     store = ImpactStore()
     hstate = fresh_state(p, impacts=store)
-    ok = init_impacts(context(d, hstate, Stats()))
+    ok = init_impacts(context(d, hstate, SearchStats()))
     assert ok
     for x in p.variables:
         for a in d.current(x):
@@ -458,7 +451,7 @@ def test_init_impacts_detects_inconsistency():
     d = DomainStore(p)
     store = ImpactStore()
     hstate = fresh_state(p, impacts=store)
-    assert init_impacts(context(d, hstate, Stats())) is False
+    assert init_impacts(context(d, hstate, SearchStats())) is False
 
 
 def test_init_impacts_never_touches_weights():
@@ -466,7 +459,7 @@ def test_init_impacts_never_touches_weights():
     d = DomainStore(p)
     hstate = fresh_state(p, impacts=ImpactStore())
     before = hstate.weights.snapshot()
-    init_impacts(context(d, hstate, Stats()))
+    init_impacts(context(d, hstate, SearchStats()))
     assert hstate.weights.snapshot() == before
 
 
@@ -498,7 +491,7 @@ def probe_setup(p, policy="wdeg", seed=0, failures=40, runs=50):
     d = DomainStore(p)
     ws = WeightStore(p, policy)
     hstate = HeuristicState(p, ws)
-    s = Stats()
+    s = SearchStats()
     cfg = ProbeConfig(failures=failures, runs=runs, seed=seed)
     return d, ws, hstate, s, cfg
 
@@ -509,7 +502,7 @@ def test_random_probe_deterministic():
     for _ in range(2):
         d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
         definitive = random_probe(context(d, hstate, s), cfg)
-        results.append((ws.snapshot(), definitive, s.tuple()))
+        results.append((ws.snapshot(), definitive, counters(s)))
     assert results[0] == results[1]
     assert results[0][2][0] > 0  # probe attempts count as nodes
 
@@ -521,7 +514,7 @@ def test_random_probe_pinned_counters():
     definitive = random_probe(context(d, hstate, s), cfg)
     assert definitive == ("sat", {"q0": 3, "q1": 0, "q2": 4, "q3": 1, "q4": 5, "q5": 2})
     assert {c: w for c, w in ws.snapshot().items() if w > 1} == {"c3": 2}
-    assert s.tuple() == (7, 461, 18, 1)
+    assert counters(s) == (7, 461, 18, 1)
 
 
 def test_random_probe_pinned_cutoffs():
@@ -535,7 +528,7 @@ def test_random_probe_pinned_cutoffs():
         "c27": 3, "c33": 2, "c36": 2, "c40": 3, "c43": 2, "c45": 3, "c46": 3,
         "c47": 3, "c48": 4,
     }
-    assert s.tuple() == (31, 12784, 287, 24)
+    assert counters(s) == (31, 12784, 287, 24)
     assert all(d.size(x) == len(p.domains[x]) for x in p.variables)
     assert hstate.assigned == set()
 
@@ -604,13 +597,13 @@ def test_random_probe_reads_no_clock(monkeypatch):
     p = gen_langford(2, 5)
     d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
     assert random_probe(context(d, hstate, s), cfg) is None
-    assert s.tuple() == (31, 12784, 287, 24)
+    assert counters(s) == (31, 12784, 287, 24)
     assert len(reads) == s.nodes
     # a passed deadline still raises before the first probe node
     d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
     with pytest.raises(TimeoutError):
         random_probe(context(d, hstate, s, deadline=time.monotonic() - 1.0), cfg)
-    assert s.tuple() == (0, 0, 0, 0)
+    assert counters(s) == (0, 0, 0, 0)
 
 
 def test_random_probe_deadline():
@@ -636,10 +629,10 @@ def test_probes_honour_a_passed_deadline(name):
     p = gen_model_d(n=6, d=5, e=9, t=0.3, seed=4)
     d = DomainStore(p)
     hstate = fresh_state(p, impacts=ImpactStore())
-    s = Stats()
+    s = SearchStats()
     with pytest.raises(TimeoutError):
         PROBES[name](p, d, hstate, s, time.monotonic() - 1.0)
-    assert s.tuple() == (0, 0, 0, 0)
+    assert counters(s) == (0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("name", sorted(PROBES))
@@ -653,7 +646,7 @@ def test_probes_restore_state_on_a_timeout_inside_propagation(name, monkeypatch)
     p = gen_model_d(n=6, d=5, e=9, t=0.3, seed=4)
     d = DomainStore(p)
     hstate = fresh_state(p, impacts=ImpactStore())
-    s = Stats()
+    s = SearchStats()
     with pytest.raises(TimeoutError):
         PROBES[name](p, d, hstate, s, deadline)
     assert s.revisions == 5

@@ -25,10 +25,6 @@ from macsolver.model import dump_problem, load_problem
 DIGESTS = json.loads(Path(__file__).with_name("instance_digests.json").read_text())
 
 
-class Stats:
-    checks = 0
-
-
 def test_model_d_structure():
     p = gen_model_d(n=6, d=4, e=9, t=0.3, seed=1)
     assert len(p.variables) == 6

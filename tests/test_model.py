@@ -9,17 +9,13 @@ from macsolver.model import (
     DomainStore,
     InstanceError,
     Problem,
+    SearchStats,
     check_tuple,
     dump_problem,
     load_problem,
     neighbors,
     seek_support,
 )
-
-
-class Stats:
-    def __init__(self):
-        self.checks = 0
 
 
 def pred(cid, scope, name, k=None):
@@ -97,7 +93,7 @@ def test_problem_lookup_tables():
 
 def test_check_tuple_counts_and_validates():
     c = pred("c", ("x", "y"), "lt")
-    s = Stats()
+    s = SearchStats()
     assert check_tuple(c, (1, 2), s) is True
     assert check_tuple(c, (2, 1), s) is False
     assert s.checks == 2
@@ -106,7 +102,7 @@ def test_check_tuple_counts_and_validates():
 
 
 def test_predicate_semantics():
-    s = Stats()
+    s = SearchStats()
     assert check_tuple(pred("a", ("x", "y"), "ne"), (1, 2), s)
     assert not check_tuple(pred("a", ("x", "y"), "ne"), (2, 2), s)
     assert check_tuple(pred("b", ("x", "y"), "eq"), (2, 2), s)
@@ -124,7 +120,7 @@ def test_predicate_semantics():
 def test_plain_predicates_agree_with_operator(name):
     c = pred("c", ("x", "y"), name)
     op = getattr(operator, name)
-    s = Stats()
+    s = SearchStats()
     pairs = [(a, b) for a in range(-2, 3) for b in range(-2, 3)]
     for n, (a, b) in enumerate(pairs, 1):
         assert check_tuple(c, (a, b), s) is op(a, b)
@@ -137,7 +133,7 @@ def test_plain_predicates_agree_with_operator(name):
 
 
 def test_table_semantics():
-    s = Stats()
+    s = SearchStats()
     al = Constraint(
         id="d", scope=("x", "y"), kind="allowed", tuples=frozenset({(1, 2), (3, 4)})
     )
@@ -156,7 +152,7 @@ def test_seek_support_binary():
     p = make_problem()
     d = DomainStore(p)
     c = p.constraints[0]  # x < y
-    s = Stats()
+    s = SearchStats()
     ys, xs = [d.current("y")], [d.current("x")]
     assert seek_support(c, 0, 1, ys, s) is True
     assert seek_support(c, 0, 3, ys, s) is False
@@ -171,7 +167,7 @@ def test_seek_support_respects_current_domain():
     c = p.constraints[0]
     d.remove("y", 2)
     d.remove("y", 3)
-    s = Stats()
+    s = SearchStats()
     assert seek_support(c, 0, 1, [d.current("y")], s) is False  # only y=1 left
 
 
@@ -189,7 +185,7 @@ def test_seek_support_nary():
         constraints=(c,),
     )
     d = DomainStore(p)
-    s = Stats()
+    s = SearchStats()
     others = [d.current("x"), d.current("y")]
     assert seek_support(c, 2, 2, others, s) is True
     assert seek_support(c, 2, 1, others, s) is False

@@ -28,13 +28,6 @@ from macsolver.propagation import (
 ALL_COMBOS = [(s, p) for s, pols in POLICIES_BY_SCHEME.items() for p in pols]
 
 
-class Stats:
-    def __init__(self):
-        self.checks = 0
-        self.revisions = 0
-        self.dwos = 0
-
-
 def pred(cid, scope, name, k=None):
     return Constraint(id=cid, scope=scope, kind="predicate", pred=name, k=k)
 
@@ -66,7 +59,7 @@ def run_to_fixpoint(problem, scheme, policy, stats=None):
 def test_revise_removes_unsupported():
     p = chain_problem()
     d = DomainStore(p)
-    s = Stats()
+    s = SearchStats()
     assert revise(d, p.by_id["cxy"], "x", s) == 1  # x=3 has no y above it
     assert sorted(d.current("x")) == [1, 2]
     assert revise(d, p.by_id["cxy"], "x", s) == 0  # already supported
@@ -106,7 +99,7 @@ def test_revise_reads_each_domain_once(monkeypatch, size):
         for x in c.scope:  # x at every scope position, 0 and 1 included
             d = DomainStore(p)
             reads.clear()
-            revise(d, c, x, Stats())
+            revise(d, c, x, SearchStats())
             assert reads == {y: 1 for y in c.scope}, (p.name, x)
 
 
@@ -120,7 +113,7 @@ def test_chain_fixpoint_all_combos(scheme, policy):
 
 
 def test_propagate_counts_revisions_and_dwos():
-    s = Stats()
+    s = SearchStats()
     d, out = run_to_fixpoint(chain_problem(), "arc", "fifo", stats=s)
     assert out.consistent
     assert s.revisions > 0
@@ -145,7 +138,7 @@ def test_wipeout_outcome_fields():
         domains={"x": (0, 1), "y": (0, 1)},
         constraints=(pred("c1", ("x", "y"), "lt"), pred("c2", ("x", "y"), "gt")),
     )
-    s = Stats()
+    s = SearchStats()
     d, out = run_to_fixpoint(p, "arc", "fifo", stats=s)
     assert not out.consistent
     assert out.dwo_constraint in ("c1", "c2")
@@ -585,7 +578,7 @@ def test_removed_totals_match_domain_shrinkage():
 @pytest.mark.parametrize("scheme, policy", ALL_COMBOS)
 def test_passed_deadline_stops_before_the_first_revision(scheme, policy):
     p = gen_model_d(n=8, d=4, e=14, t=0.3, seed=1)
-    s = Stats()
+    s = SearchStats()
     with pytest.raises(TimeoutError):
         propagate(
             DomainStore(p), policy, initial_queue(p, scheme), unit_state(p), s,
@@ -601,7 +594,7 @@ def test_deadline_checked_once_per_selection(scheme, monkeypatch):
         propagation, "time", types.SimpleNamespace(monotonic=lambda: next(ticks))
     )
     p = gen_model_d(n=8, d=4, e=14, t=0.3, seed=1)
-    s = Stats()
+    s = SearchStats()
     with pytest.raises(TimeoutError):
         propagate(DomainStore(p), POLICIES_BY_SCHEME[scheme][0],
                   initial_queue(p, scheme), unit_state(p), s, deadline=3)

@@ -5,7 +5,7 @@ import pytest
 from oracle import count_solutions, satisfiable
 from macsolver.heuristics import ProbeConfig, VOHeuristic, parse_heuristic
 from macsolver.instances import gen_langford, gen_model_d, gen_queens
-from macsolver.model import Constraint, DomainStore, Problem, check_tuple
+from macsolver.model import Constraint, DomainStore, Problem, SearchStats, check_tuple
 from macsolver.propagation import POLICIES_BY_SCHEME
 from macsolver.search import (
     ArithmeticRestarts,
@@ -23,14 +23,10 @@ def pred(cid, scope, name, k=None):
     return Constraint(id=cid, scope=scope, kind="predicate", pred=name, k=k)
 
 
-class Stats:
-    checks = 0
-
-
 def assert_valid(problem, assignment):
     assert set(assignment) == set(problem.variables)
     for c in problem.constraints:
-        assert check_tuple(c, tuple(assignment[v] for v in c.scope), Stats)
+        assert check_tuple(c, tuple(assignment[v] for v in c.scope), SearchStats())
 
 
 def test_geometric_schedule():
