@@ -225,13 +225,13 @@ def test_generated_instance_matches_pinned_digest(spec):
 
 def test_instance_digests_cover_the_benchmark_and_grid_specs():
     path = Path(__file__).parents[1] / "perfbench" / "cases.py"
-    loader = importlib.util.spec_from_file_location("perfbench_cases", path)
-    cases = importlib.util.module_from_spec(loader)
-    sys.modules[loader.name] = cases  # dataclasses look their module up
+    module_spec = importlib.util.spec_from_file_location("perfbench_cases", path)
+    cases = importlib.util.module_from_spec(module_spec)
+    sys.modules[module_spec.name] = cases  # dataclasses look their module up
     try:
-        loader.loader.exec_module(cases)
+        module_spec.loader.exec_module(cases)
     finally:
-        del sys.modules[loader.name]
+        del sys.modules[module_spec.name]
     specs = {case.spec for make in cases.WORKLOADS.values() for case in make()}
     assert len(specs) == 25
     assert specs | set(grid.FAMILIES.values()) <= set(DIGESTS)
