@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args) -> int:
     problem = load_instance(args.instance)
     cfg = SearchConfig(
-        heuristic=parse_heuristic(args.var, probe_seed=args.seed),
+        heuristic=parse_heuristic(args.var),
         scheme=args.scheme,
         policy=args.rev,
         restarts=parse_restarts(args.restart),

@@ -165,22 +165,19 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     for scheme, rev in product(spec.schemes, spec.rev_policies):
         if rev not in POLICIES_BY_SCHEME[scheme]:
             log.warning("skipping %s with scheme %s (policy does not fit)", rev, scheme)
+    heuristic_of = {name: parse_heuristic(name) for name in spec.var_heurs}
     # (var_heur, restart, one SearchConfig per seed), in row order
-    plan = [
-        (var_heur, restart, [
-            SearchConfig(
-                heuristic=parse_heuristic(var_heur, probe_seed=seed), scheme=scheme,
-                policy=rev, restarts=parse_restarts(restart), value_order=value_order,
-                seed=seed, mode="decide", timeout=spec.timeout,
+    plan = []
+    for scheme, var_heur, rev, restart, value_order in product(
+        spec.schemes, spec.var_heurs, spec.rev_policies, spec.restarts, spec.value_orders,
+    ):
+        if rev in POLICIES_BY_SCHEME[scheme]:
+            base = SearchConfig(
+                heuristic=heuristic_of[var_heur], scheme=scheme, policy=rev,
+                restarts=parse_restarts(restart), value_order=value_order,
+                mode="decide", timeout=spec.timeout,
             )
-            for seed in spec.seeds
-        ])
-        for scheme, var_heur, rev, restart, value_order in product(
-            spec.schemes, spec.var_heurs, spec.rev_policies, spec.restarts,
-            spec.value_orders,
-        )
-        if rev in POLICIES_BY_SCHEME[scheme]
-    ]
+            plan.append((var_heur, restart, [replace(base, seed=seed) for seed in spec.seeds]))
     problems = [load_instance(source) for source in spec.instances]
     rows: list[ResultRow] = []
     for problem in problems:

@@ -56,11 +56,10 @@ IMPACT_PARTS = 4  # init_impacts probes each domain in at most this many parts
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Random probing parameters: runs, per-run failure cutoff, RNG seed."""
+    """Random probing parameters: runs, per-run failure cutoff; seeded by SearchConfig.seed."""
 
     failures: int = 40
     runs: int = 50
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -94,12 +93,13 @@ def weight_policy_for(base: str) -> str:
     return "wdeg"
 
 
-def parse_heuristic(name: str, probe_seed: int = 0) -> VOHeuristic:
+def parse_heuristic(name: str) -> VOHeuristic:
     """Parse a heuristic name like "dom/wdeg+probe+rsc" or "dom+deg".
 
     Suffixes: +rsc and +nodeimpact pick the tie-break, +probe turns on random
-    probing with its default parameters and the given seed. Suffixes come in
-    any order; a repeated suffix or a second tie-break is rejected.
+    probing with its default parameters (seeded by the run's SearchConfig).
+    Suffixes come in any order; a repeated suffix or a second tie-break is
+    rejected.
     """
     rest = name
     base = None
@@ -119,7 +119,7 @@ def parse_heuristic(name: str, probe_seed: int = 0) -> VOHeuristic:
         if token in ("rsc", "nodeimpact"):
             tiebreak = token
         elif token == "probe":
-            probing = ProbeConfig(seed=probe_seed)
+            probing = ProbeConfig()
         else:
             raise ValueError(f"unknown heuristic suffix {token!r} in {name!r}")
     return VOHeuristic(base=base, tiebreak=tiebreak, probing=probing)
@@ -144,9 +144,6 @@ class WeightStore:
         self.weight: dict[str, int] = {c.id: 1 for c in problem.constraints}
 
     def get(self, cid: str) -> int:
-        return self.weight[cid]
-
-    def __getitem__(self, cid: str) -> int:
         return self.weight[cid]
 
     def on_deletion(self, cid: str, removed: int) -> None:

@@ -156,7 +156,12 @@ def parse_spec(text: str) -> Problem:
         if name in params:
             raise ValueError(f"repeated generator parameter {name!r} in {text!r}")
         raw = raw.strip()
-        params[name] = float(raw) if name == "t" else int(raw)
+        try:
+            params[name] = float(raw) if name == "t" else int(raw)
+        except ValueError:
+            raise ValueError(
+                f"bad value {raw!r} for generator parameter {name!r} in {text!r}"
+            ) from None
     if "seed" in param_names:
         params.setdefault("seed", 0)
     missing = [p for p in param_names if p not in params]

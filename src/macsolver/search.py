@@ -219,17 +219,18 @@ def dway_search(ctx: SearchContext, choose, values, leaf, failed) -> str:
         d.restore(root)
 
 
-def random_probe(ctx: SearchContext, cfg: ProbeConfig) -> tuple[str, dict | None] | None:
+def random_probe(ctx: SearchContext, cfg: ProbeConfig, seed: int) -> tuple[str, dict | None] | None:
     """Run short randomized probes to warm up the conflict weights, ctx.hstate.weights.
 
-    Each probe is a run of dway_search with uniformly random variable
-    selection and value order, cut off once cfg.failures wipeouts have been
-    seen. Weights accumulate across probes under the active update policy.
+    Each probe is a run of dway_search with variable selection and value
+    order drawn uniformly by one RNG seeded with seed (solve passes the run's
+    SearchConfig.seed), cut off once cfg.failures wipeouts have been seen.
+    Weights accumulate across probes under the active update policy.
     Returns a definitive ("sat", assignment) or ("unsat", None) when a probe
     happens to settle the instance, else None. The search loop checks the
     deadline before each node, so a passed one raises TimeoutError.
     """
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     hstate, stats = ctx.hstate, ctx.stats
     solution: dict[str, int] = {}
 
@@ -273,53 +274,19 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
 
     Preprocesses to full consistency, then searches depth-first with d-way
     branching, restarting per cfg.restarts. Satisfiable answers are verified
-    against every constraint before they are reported.
+    against every constraint before they are reported. On a timeout the
+    outcome keeps the solutions counted so far.
     """
     t0 = time.monotonic()
-    deadline = t0 + cfg.timeout
     stats = SearchStats()
     heur = cfg.heuristic
     weights = WeightStore(problem, policy=weight_policy_for(heur.base))
     impacts = ImpactStore() if heur.base == "impact" else None
     hstate = HeuristicState(problem, weights, impacts)
     d = model.DomainStore(problem)
-    ctx = SearchContext(d, hstate, stats, cfg.scheme, cfg.policy, deadline)
+    ctx = SearchContext(d, hstate, stats, cfg.scheme, cfg.policy, t0 + cfg.timeout)
     solution: dict[str, int] | None = None
     count = 0
-
-    def finish(result: str) -> SearchOutcome:
-        stats.time_ms = (time.monotonic() - t0) * 1000.0
-        return SearchOutcome(
-            result=result,
-            solution=solution,
-            count=count,
-            stats=stats,
-            weights=weights,
-        )
-
-    definitive = None
-    try:
-        if not propagate(
-            d, cfg.policy, initial_queue(problem, cfg.scheme), hstate, stats,
-            deadline=deadline,
-        ).consistent:
-            return finish("unsat")
-        if heur.base == "impact" and not init_impacts(ctx):
-            return finish("unsat")
-        if heur.probing is not None:
-            definitive = random_probe(ctx, heur.probing)
-    except TimeoutError:
-        return finish("timeout")
-    if definitive is not None:
-        verdict, probe_solution = definitive
-        if verdict == "unsat":
-            return finish("unsat")
-        if not _verify(problem, probe_solution, stats):
-            raise RuntimeError("probe produced an invalid solution")
-        # count mode still needs the full tree
-        if cfg.mode != "count":
-            solution = probe_solution
-            return finish("sat")
 
     def choose() -> str | None:
         # None when a tie-break probe emptied a candidate's domain
@@ -338,24 +305,45 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
         solution = dict(assignment)
         return True
 
-    def failed() -> bool:
-        nonlocal left
-        left -= 1
-        return left < 0
+    def run() -> str:
+        nonlocal solution
+        queue = initial_queue(problem, cfg.scheme)
+        if not propagate(d, cfg.policy, queue, hstate, stats, deadline=ctx.deadline).consistent:
+            return "unsat"
+        if heur.base == "impact" and not init_impacts(ctx):
+            return "unsat"
+        if heur.probing is not None:
+            definitive = random_probe(ctx, heur.probing, cfg.seed)
+            if definitive is not None:
+                verdict, probe_solution = definitive
+                if verdict == "unsat":
+                    return "unsat"
+                if not _verify(problem, probe_solution, stats):
+                    raise RuntimeError("probe produced an invalid solution")
+                if cfg.mode != "count":  # count mode still needs the full tree
+                    solution = probe_solution
+                    return "sat"
 
-    use_restarts = cfg.mode != "count"
-    run_index = 0
-    while True:
-        cutoff = next_cutoff(cfg.restarts, run_index) if use_restarts else None
-        left = math.inf if cutoff is None else cutoff
-        try:
+        def failed() -> bool:
+            nonlocal left
+            left -= 1
+            return left < 0
+
+        # count mode ignores restarts: every run must exhaust the tree
+        restarts = cfg.restarts if cfg.mode != "count" else None
+        while True:  # stats.restarts numbers the runs
+            cutoff = next_cutoff(restarts, stats.restarts)
+            left = math.inf if cutoff is None else cutoff
             result = dway_search(ctx, choose, values, leaf, failed)
-        except TimeoutError:
-            return finish("timeout")
-        if result != CUTOFF:
-            break
-        stats.restarts += 1
-        run_index += 1
-    if cfg.mode == "count":
-        return finish("sat" if count > 0 else "unsat")
-    return finish("sat" if result == LEAF else "unsat")
+            if result != CUTOFF:
+                break
+            stats.restarts += 1
+        found = count > 0 if cfg.mode == "count" else result == LEAF
+        return "sat" if found else "unsat"
+
+    try:
+        result = run()
+    except TimeoutError:
+        result = "timeout"
+    stats.time_ms = (time.monotonic() - t0) * 1000.0
+    return SearchOutcome(result, solution, count, stats, weights)

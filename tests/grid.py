@@ -59,7 +59,7 @@ def rows(family: str, mode: str) -> list[list]:
     for scheme, policy in PAIRS:
         for heur in HEURISTICS:
             cfg = SearchConfig(
-                heuristic=parse_heuristic(heur, probe_seed=seed),
+                heuristic=parse_heuristic(heur),
                 scheme=scheme,
                 policy=policy,
                 restarts=parse_restarts(restarts),

@@ -127,7 +127,7 @@ def search_grid(seed):
     ]
     return [
         SearchConfig(
-            heuristic=parse_heuristic(var, probe_seed=seed),
+            heuristic=parse_heuristic(var),
             scheme=scheme,
             policy=rev,
             restarts=parse_restarts(restart),
@@ -334,7 +334,7 @@ def test_criterion_09_determinism_and_instrumentation(monkeypatch):
             mode="decide",
         ),
         SearchConfig(
-            heuristic=parse_heuristic("dom/wdeg+probe", probe_seed=5),
+            heuristic=parse_heuristic("dom/wdeg+probe"),
             restarts=GeometricRestarts(),
             seed=5,
             mode="decide",

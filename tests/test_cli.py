@@ -99,6 +99,13 @@ def test_domain_errors_exit_three(capsys):
     assert code == 3  # policy does not fit the variable scheme
 
 
+def test_a_bad_generator_value_exits_three_naming_the_parameter(capsys):
+    code, out, err = run(capsys, "solve", "queens:n=1.5")
+    assert code == 3
+    assert "result:" not in out
+    assert "generator parameter 'n' in 'queens:n=1.5'" in err and "internal" not in err
+
+
 def test_nan_timeout_and_non_finite_restarts_exit_three(capsys):
     # each is rejected before any search runs
     bad = (("--timeout", "nan"), ("--restart", "geo:1:inf"), ("--restart", "geo:1:nan"))

@@ -85,10 +85,10 @@ def test_parse_heuristic():
     assert (h.base, h.tiebreak) == ("dom/wdeg", "rsc")
     h = parse_heuristic("impact+nodeimpact")
     assert (h.base, h.tiebreak) == ("impact", "nodeimpact")
-    h = parse_heuristic("dom/wdeg+probe", probe_seed=9)
-    assert h.probing == ProbeConfig(seed=9)
+    h = parse_heuristic("dom/wdeg+probe")
+    assert h.probing == ProbeConfig(failures=40, runs=50)
     h = parse_heuristic("fully+probe+rsc")
-    assert (h.base, h.tiebreak, h.probing) == ("fully", "rsc", ProbeConfig(seed=0))
+    assert (h.base, h.tiebreak, h.probing) == ("fully", "rsc", ProbeConfig())
     with pytest.raises(ValueError):
         parse_heuristic("nosuch")
     with pytest.raises(ValueError):
@@ -136,7 +136,7 @@ def test_weight_policy_for():
 def test_weight_store_basics():
     p = star_problem()
     ws = WeightStore(p, "wdeg")
-    assert ws.get("c1") == ws["c2"] == 1
+    assert ws.get("c1") == ws.get("c2") == 1
     with pytest.raises(ValueError):
         WeightStore(p, "nosuch")
 
@@ -487,12 +487,12 @@ def test_weights_never_decrease():
                 prev = cur
 
 
-def probe_setup(p, policy="wdeg", seed=0, failures=40, runs=50):
+def probe_setup(p, policy="wdeg", failures=40, runs=50):
     d = DomainStore(p)
     ws = WeightStore(p, policy)
     hstate = HeuristicState(p, ws)
     s = SearchStats()
-    cfg = ProbeConfig(failures=failures, runs=runs, seed=seed)
+    cfg = ProbeConfig(failures=failures, runs=runs)
     return d, ws, hstate, s, cfg
 
 
@@ -500,8 +500,8 @@ def test_random_probe_deterministic():
     p = gen_queens(6)
     results = []
     for _ in range(2):
-        d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
-        definitive = random_probe(context(d, hstate, s), cfg)
+        d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
+        definitive = random_probe(context(d, hstate, s), cfg, 3)
         results.append((ws.snapshot(), definitive, counters(s)))
     assert results[0] == results[1]
     assert results[0][2][0] > 0  # probe attempts count as nodes
@@ -510,8 +510,8 @@ def test_random_probe_deterministic():
 def test_random_probe_pinned_counters():
     # exact counters: the benchmark never runs random probing
     p = gen_queens(6)
-    d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
-    definitive = random_probe(context(d, hstate, s), cfg)
+    d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
+    definitive = random_probe(context(d, hstate, s), cfg, 3)
     assert definitive == ("sat", {"q0": 3, "q1": 0, "q2": 4, "q3": 1, "q4": 5, "q5": 2})
     assert {c: w for c, w in ws.snapshot().items() if w > 1} == {"c3": 2}
     assert counters(s) == (7, 461, 18, 1)
@@ -520,8 +520,8 @@ def test_random_probe_pinned_counters():
 def test_random_probe_pinned_cutoffs():
     # every run of an unsat instance ends at the failure cutoff
     p = gen_langford(2, 5)
-    d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
-    definitive = random_probe(context(d, hstate, s), cfg)
+    d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
+    definitive = random_probe(context(d, hstate, s), cfg, 3)
     assert definitive is None
     assert {c: w for c, w in ws.snapshot().items() if w > 1} == {
         "c2": 2, "c3": 2, "c6": 3, "c7": 2, "c12": 2, "c16": 2, "c18": 2,
@@ -535,8 +535,8 @@ def test_random_probe_pinned_cutoffs():
 
 def test_random_probe_restores_state():
     p = gen_queens(5)
-    d, ws, hstate, s, cfg = probe_setup(p, seed=1, failures=3, runs=4)
-    random_probe(context(d, hstate, s), cfg)
+    d, ws, hstate, s, cfg = probe_setup(p, failures=3, runs=4)
+    random_probe(context(d, hstate, s), cfg, 1)
     assert all(d.size(x) == len(p.domains[x]) for x in p.variables)
     assert hstate.assigned == set()
 
@@ -554,8 +554,8 @@ def test_random_probe_definitive_unsat():
             pred("c3", ("y", "z"), "ne"),
         ),
     )
-    d, ws, hstate, s, cfg = probe_setup(p, seed=0)
-    definitive = random_probe(context(d, hstate, s), cfg)
+    d, ws, hstate, s, cfg = probe_setup(p)
+    definitive = random_probe(context(d, hstate, s), cfg, 0)
     assert definitive == ("unsat", None)
 
 
@@ -567,8 +567,8 @@ def test_random_probe_definitive_sat():
         domains={"x": (0, 1), "y": (0, 1)},
         constraints=(pred("c", ("x", "y"), "ne"),),
     )
-    d, ws, hstate, s, cfg = probe_setup(p, seed=0)
-    definitive = random_probe(context(d, hstate, s), cfg)
+    d, ws, hstate, s, cfg = probe_setup(p)
+    definitive = random_probe(context(d, hstate, s), cfg, 0)
     assert definitive is not None
     kind, assignment = definitive
     assert kind == "sat"
@@ -577,8 +577,8 @@ def test_random_probe_definitive_sat():
 
 def test_random_probe_accumulates_weights():
     p = gen_model_d(n=8, d=3, e=16, t=0.6, seed=21)
-    d, ws, hstate, s, cfg = probe_setup(p, seed=5, failures=5, runs=10)
-    definitive = random_probe(context(d, hstate, s), cfg)
+    d, ws, hstate, s, cfg = probe_setup(p, failures=5, runs=10)
+    definitive = random_probe(context(d, hstate, s), cfg, 5)
     snap = ws.snapshot()
     assert all(w >= 1 for w in snap.values())
     if definitive is None or definitive[0] == "unsat":
@@ -595,22 +595,22 @@ def test_random_probe_reads_no_clock(monkeypatch):
 
     monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=counting_clock))
     p = gen_langford(2, 5)
-    d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
-    assert random_probe(context(d, hstate, s), cfg) is None
+    d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
+    assert random_probe(context(d, hstate, s), cfg, 3) is None
     assert counters(s) == (31, 12784, 287, 24)
     assert len(reads) == s.nodes
     # a passed deadline still raises before the first probe node
-    d, ws, hstate, s, cfg = probe_setup(p, seed=3, failures=4, runs=6)
+    d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
     with pytest.raises(TimeoutError):
-        random_probe(context(d, hstate, s, deadline=time.monotonic() - 1.0), cfg)
+        random_probe(context(d, hstate, s, deadline=time.monotonic() - 1.0), cfg, 3)
     assert counters(s) == (0, 0, 0, 0)
 
 
 def test_random_probe_deadline():
     p = gen_queens(8)
-    d, ws, hstate, s, cfg = probe_setup(p, seed=0)
+    d, ws, hstate, s, cfg = probe_setup(p)
     with pytest.raises(TimeoutError):
-        random_probe(context(d, hstate, s, deadline=time.monotonic() - 1.0), cfg)
+        random_probe(context(d, hstate, s, deadline=time.monotonic() - 1.0), cfg, 0)
 
 
 PROBES = {

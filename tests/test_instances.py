@@ -201,6 +201,12 @@ def test_parse_spec_errors():
         parse_spec("queens:m=5")  # unknown parameter
     with pytest.raises(ValueError):
         parse_spec("langford:k=2")  # n missing
+    with pytest.raises(
+        ValueError, match=r"bad value '1\.5' for generator parameter 'n' in 'queens:n=1\.5'"
+    ):
+        parse_spec("queens:n=1.5")
+    with pytest.raises(ValueError, match=r"bad value 'abc' for generator parameter 't' in 'model"):
+        parse_spec("modelD:n=5,d=3,e=4,t=abc")
 
 
 def test_parse_spec_rejects_a_repeated_parameter():

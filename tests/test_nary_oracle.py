@@ -80,8 +80,8 @@ def test_nary_fixpoints_match_oracle(scheme, policy):
 @pytest.mark.parametrize("scheme, policy", PAIRS)
 def test_nary_solve_matches_oracle(scheme, policy):
     for seed, (p, want) in enumerate(zip(INSTANCES, COUNTS)):
-        heur = parse_heuristic(HEURISTICS[seed % len(HEURISTICS)], probe_seed=seed)
-        counted = solve(p, SearchConfig(heur, scheme, policy, mode="count"))
+        heur = parse_heuristic(HEURISTICS[seed % len(HEURISTICS)])
+        counted = solve(p, SearchConfig(heur, scheme, policy, seed=seed, mode="count"))
         assert counted.count == want, (p.name, heur)
         assert counted.result == ("sat" if want else "unsat"), (p.name, heur)
         decided = solve(p, SearchConfig(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -285,24 +286,36 @@ def test_probing_phase_definitive_unsat():
             pred("c3", ("y", "z"), "ne"),
         ),
     )
-    h = VOHeuristic(base="dom/wdeg", probing=ProbeConfig(failures=40, runs=3, seed=0))
+    h = VOHeuristic(base="dom/wdeg", probing=ProbeConfig(failures=40, runs=3))
     out = solve(p, SearchConfig(heuristic=h, mode="decide"))
     assert out.result == "unsat"
 
 
 def test_probing_phase_definitive_sat_is_verified():
     p = gen_queens(5)
-    h = VOHeuristic(base="dom/wdeg", probing=ProbeConfig(failures=40, runs=50, seed=1))
-    out = solve(p, SearchConfig(heuristic=h))
+    h = VOHeuristic(base="dom/wdeg", probing=ProbeConfig(failures=40, runs=50))
+    out = solve(p, SearchConfig(heuristic=h, seed=1))
     assert out.result == "sat"
     assert_valid(p, out.solution)
 
 
 def test_probing_in_count_mode_still_counts_everything():
     p = gen_queens(4)
-    h = VOHeuristic(base="dom/wdeg", probing=ProbeConfig(failures=10, runs=5, seed=3))
-    out = solve(p, SearchConfig(heuristic=h, mode="count"))
+    h = VOHeuristic(base="dom/wdeg", probing=ProbeConfig(failures=10, runs=5))
+    out = solve(p, SearchConfig(heuristic=h, seed=3, mode="count"))
     assert out.count == 2
+
+
+def test_search_config_seed_alone_drives_probing():
+    # the seed lives in SearchConfig only; the heuristic carries none
+    assert [f.name for f in fields(ProbeConfig)] == ["failures", "runs"]
+    p = gen_queens(8)
+    h = parse_heuristic("dom/wdeg+probe")
+    got = []
+    for seed in (0, 1, 2):
+        s = solve(p, SearchConfig(heuristic=h, seed=seed, mode="decide")).stats
+        got.append((s.nodes, s.checks, s.dwos))
+    assert got == [(21, 3983, 11), (9, 2291, 1), (10, 2483, 2)]
 
 
 def test_impact_base_solves():
@@ -450,7 +463,7 @@ def ne_chain(n):
 
 @pytest.mark.parametrize(
     "heuristic",
-    [VOHeuristic(base="dom"), VOHeuristic(base="dom/wdeg", probing=ProbeConfig(seed=0))],
+    [VOHeuristic(base="dom"), VOHeuristic(base="dom/wdeg", probing=ProbeConfig())],
 )
 def test_deep_chain_has_no_depth_limit(heuristic):
     p = ne_chain(1200)
