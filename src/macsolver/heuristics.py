@@ -22,26 +22,26 @@ def _wdeg_score(w: int, dom: int):
     return -w if w > 0 else float(dom)
 
 
-def _dom_over_wdeg(h, d, hstate):
+def _dom_over_wdeg(d, hstate):
     return lambda x: dom_ratio(d.size(x), hstate.wdeg(x))
 
 
-def _impact_key(h, d, hstate):
+def _impact_key(d, hstate):
     if hstate.impacts is None:
         raise ValueError("impact heuristic used without an impact store")
     return lambda x: variable_impact(hstate.impacts, x, d)
 
 
-# base -> score builder. A builder takes (h, d, hstate) and returns the score
+# base -> score builder. A builder takes (d, hstate) and returns the score
 # of one unassigned variable of hstate.problem; smaller is preferred.
 SCORE_BUILDERS = {
-    "dom": lambda h, d, hs: d.size,
-    "deg": lambda h, d, hs: lambda x: -len(hs.problem.neighborhood[x]),
-    "ddeg": lambda h, d, hs: lambda x: -hs.ddeg(x),
-    "dom+deg": lambda h, d, hs: lambda x: (d.size(x), -len(hs.problem.neighborhood[x])),
-    "dom/ddeg": lambda h, d, hs: lambda x: dom_ratio(d.size(x), hs.ddeg(x)),
-    "mdvo": lambda h, d, hs: lambda x: _mdvo_score(h, x, hs.problem, d),
-    "wdeg": lambda h, d, hs: lambda x: _wdeg_score(hs.wdeg(x), d.size(x)),
+    "dom": lambda d, hs: d.size,
+    "deg": lambda d, hs: lambda x: -len(hs.problem.neighborhood[x]),
+    "ddeg": lambda d, hs: lambda x: -hs.ddeg(x),
+    "dom+deg": lambda d, hs: lambda x: (d.size(x), -len(hs.problem.neighborhood[x])),
+    "dom/ddeg": lambda d, hs: lambda x: dom_ratio(d.size(x), hs.ddeg(x)),
+    "mdvo": lambda d, hs: lambda x: _mdvo_score(x, hs.problem, d),
+    "wdeg": lambda d, hs: lambda x: _wdeg_score(hs.wdeg(x), d.size(x)),
     "dom/wdeg": _dom_over_wdeg,
     "alldel": _dom_over_wdeg,
     "fully": _dom_over_wdeg,
@@ -69,18 +69,12 @@ class VOHeuristic:
     base: str = "dom/wdeg"
     tiebreak: str = "lexico"
     probing: ProbeConfig | None = None
-    mdvo_alpha: str = "dom/deg"  # "dom" (|D|) or "dom/deg" (|D|/|neighbors|)
-    mdvo_op: str = "+"
 
     def __post_init__(self) -> None:
         if self.base not in BASES:
             raise ValueError(f"unknown heuristic base {self.base!r}")
         if self.tiebreak not in TIEBREAKS:
             raise ValueError(f"unknown tie-break {self.tiebreak!r}")
-        if self.mdvo_alpha not in ("dom", "dom/deg"):
-            raise ValueError(f"unknown mdvo alpha {self.mdvo_alpha!r}")
-        if self.mdvo_op not in ("+", "*"):
-            raise ValueError(f"unknown mdvo operator {self.mdvo_op!r}")
         if self.probing is not None and self.base not in CONFLICT_BASES:
             raise ValueError("random probing requires a conflict-driven base")
 
@@ -163,32 +157,6 @@ class WeightStore:
         return dict(self.weight)
 
 
-@dataclass(frozen=True)
-class Deletions:
-    """Fruitful-revision event: constraint removed `removed` values."""
-
-    constraint: str
-    removed: int
-
-
-@dataclass(frozen=True)
-class Dwo:
-    """Wipeout event: the failing constraint plus the propagation's fruitful set."""
-
-    constraint: str
-    fruitful: frozenset[str] = frozenset()
-
-
-def record_failure(weights: WeightStore, event) -> None:
-    """Apply one propagation event to the store under its update policy."""
-    if isinstance(event, Deletions):
-        weights.on_deletion(event.constraint, event.removed)
-    elif isinstance(event, Dwo):
-        weights.on_dwo(event.constraint, event.fruitful)
-    else:
-        raise TypeError(f"unknown event {event!r}")
-
-
 class HeuristicState:
     """Mutable per-solve context shared by search and propagation ordering."""
 
@@ -246,28 +214,26 @@ def score_variable(h: VOHeuristic, x: str, d: DomainStore, hstate: HeuristicStat
     Ratio heuristics fall back to plain |D(x)| when the denominator has no
     qualifying constraint (division guard).
     """
-    return SCORE_BUILDERS[h.base](h, d, hstate)(x)
+    return SCORE_BUILDERS[h.base](d, hstate)(x)
 
 
-def _mdvo_score(h: VOHeuristic, x: str, problem: Problem, d: DomainStore) -> float:
-    """Mean pairwise constrainedness of x against its neighborhood."""
+def _mdvo_score(x: str, problem: Problem, d: DomainStore) -> float:
+    """Mean pairwise constrainedness of x against its neighborhood Γ(x).
+
+    Each variable y weighs α(y) = |D(y)|/|Γ(y)|; the score is the sum of
+    α(x) + α(y) over y in Γ(x), divided by |Γ(x)|².
+    """
     gamma = problem.neighborhood[x]
     if not gamma:
         return float(d.size(x))
 
     def alpha(y: str) -> float:
-        if h.mdvo_alpha == "dom":
-            return float(d.size(y))
         return d.size(y) / len(problem.neighborhood[y])
 
     ax = alpha(x)
     # gamma is a set of strings, so its order follows the hash seed: fsum is
     # exact and therefore independent of the order
-    if h.mdvo_op == "+":
-        total = math.fsum(ax + alpha(y) for y in gamma)
-    else:
-        total = math.fsum(ax * alpha(y) for y in gamma)
-    return total / (len(gamma) ** 2)
+    return math.fsum(ax + alpha(y) for y in gamma) / (len(gamma) ** 2)
 
 
 def select_variable(ctx: SearchContext, h: VOHeuristic) -> str | None:
@@ -282,7 +248,7 @@ def select_variable(ctx: SearchContext, h: VOHeuristic) -> str | None:
     free = [x for x in hstate.problem.variables if x not in hstate.assigned]
     if not free:
         raise ValueError("no unassigned variable to select")
-    score = SCORE_BUILDERS[h.base](h, ctx.d, hstate)
+    score = SCORE_BUILDERS[h.base](ctx.d, hstate)
     if h.tiebreak == "lexico":
         return min(free, key=score)
     scores = [score(x) for x in free]
@@ -326,10 +292,6 @@ def observe_impact(store: ImpactStore, x: str, a: int, p_before: int, p_after: i
     impact = 1.0 - (p_after / p_before)
     store.observe(x, a, impact)
     return impact
-
-
-def averaged_impact(store: ImpactStore, x: str, a: int) -> float:
-    return store.averaged(x, a)
 
 
 def variable_impact(store: ImpactStore, x: str, d: DomainStore) -> float:

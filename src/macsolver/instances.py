@@ -6,6 +6,7 @@ round-trip through the JSON instance format unchanged.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations
 
@@ -54,9 +55,11 @@ def _random_binary(n: int, d: int, e: int, t: float, seed: int, planted: bool) -
     variables = tuple(f"x{i}" for i in range(n))
     # the planted values come first from the generator, before the pairs
     values = [rng.randrange(d) for _ in range(n)] if planted else None
-    pairs = rng.sample(list(combinations(range(n), 2)), e)
+    # random.sample reads its population only through len and indexing, so
+    # sampling pair indices draws what sampling the pair list would draw
     specs = []
-    for i, j in pairs:
+    for k in rng.sample(range(max_pairs), e):
+        i, j = _nth_pair(n, k)
         keep = (values[i], values[j]) if planted else None
         forbidden = frozenset(
             (a, b)
@@ -69,6 +72,18 @@ def _random_binary(n: int, d: int, e: int, t: float, seed: int, planted: bool) -
         )
     name = f"{'modelRB' if planted else 'modelD'}-{n}-{d}-{e}-{t}-{seed}"
     return _problem(name, variables, d, specs)
+
+
+def _nth_pair(n: int, k: int) -> tuple[int, int]:
+    """The k-th pair of combinations(range(n), 2), in O(1)."""
+    total = n * (n - 1) // 2
+    after = total - 1 - k  # pairs listed after the k-th
+    # the rows after row i hold r(r+1)/2 pairs, r = n - 2 - i, so row i is the
+    # r with r(r+1)/2 <= after < (r+1)(r+2)/2
+    r = (math.isqrt(8 * after + 1) - 1) // 2
+    i = n - 2 - r
+    row_start = total - (r + 1) * (r + 2) // 2
+    return i, i + 1 + k - row_start
 
 
 def gen_langford(k: int, n: int) -> Problem:

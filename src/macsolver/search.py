@@ -71,11 +71,19 @@ def parse_restarts(text: str):
     if text == "none":
         return None
     parts = text.split(":")
-    if len(parts) == 3 and parts[0] == "geo":
-        return GeometricRestarts(base=int(parts[1]), factor=float(parts[2]))
-    if len(parts) == 3 and parts[0] == "arith":
-        return ArithmeticRestarts(base=int(parts[1]), step=int(parts[2]))
-    raise ValueError(f"bad restart spec {text!r}")
+    if len(parts) != 3 or parts[0] not in ("geo", "arith"):
+        raise ValueError(f"bad restart spec {text!r}")
+
+    def value(field: str, raw: str, convert):
+        try:
+            return convert(raw)
+        except ValueError:
+            raise ValueError(f"bad value {raw!r} for {field} in restart spec {text!r}") from None
+
+    base = value("BASE", parts[1], int)
+    if parts[0] == "geo":
+        return GeometricRestarts(base=base, factor=value("FACTOR", parts[2], float))
+    return ArithmeticRestarts(base=base, step=value("STEP", parts[2], int))
 
 
 def restarts_name(policy) -> str:

@@ -20,8 +20,6 @@ from macsolver.harness import (
     variance,
 )
 from macsolver.heuristics import (
-    Deletions,
-    Dwo,
     HeuristicState,
     ImpactStore,
     SearchContext,
@@ -30,7 +28,6 @@ from macsolver.heuristics import (
     init_impacts,
     parse_heuristic,
     partition_parts,
-    record_failure,
     variable_impact,
 )
 from macsolver.instances import gen_langford, gen_model_d, gen_model_rb, gen_queens
@@ -297,23 +294,23 @@ def test_criterion_08_weight_update_policies():
     p = trace_problem()
 
     ws = WeightStore(p, "wdeg")
-    record_failure(ws, Deletions("c1", 2))
-    record_failure(ws, Deletions("c2", 1))
-    record_failure(ws, Dwo("c1", frozenset({"c1", "c2"})))
+    ws.on_deletion("c1", 2)
+    ws.on_deletion("c2", 1)
+    ws.on_dwo("c1", frozenset({"c1", "c2"}))
     assert ws.snapshot() == {"c1": 2, "c2": 1, "c3": 1}
 
     ws = WeightStore(p, "alldel")
-    record_failure(ws, Deletions("c1", 2))
-    record_failure(ws, Deletions("c2", 1))
-    record_failure(ws, Deletions("c1", 3))
-    record_failure(ws, Dwo("c1", frozenset({"c1", "c2"})))
+    ws.on_deletion("c1", 2)
+    ws.on_deletion("c2", 1)
+    ws.on_deletion("c1", 3)
+    ws.on_dwo("c1", frozenset({"c1", "c2"}))
     assert ws.snapshot() == {"c1": 6, "c2": 2, "c3": 1}
 
     ws = WeightStore(p, "fully")
-    record_failure(ws, Deletions("c1", 4))
-    record_failure(ws, Dwo("c1", frozenset({"c1", "c2"})))
+    ws.on_deletion("c1", 4)
+    ws.on_dwo("c1", frozenset({"c1", "c2"}))
     assert ws.snapshot() == {"c1": 2, "c2": 2, "c3": 1}
-    record_failure(ws, Dwo("c3", frozenset({"c2"})))
+    ws.on_dwo("c3", frozenset({"c2"}))
     assert ws.snapshot() == {"c1": 2, "c2": 3, "c3": 2}
 
     print(

@@ -106,6 +106,13 @@ def test_a_bad_generator_value_exits_three_naming_the_parameter(capsys):
     assert "generator parameter 'n' in 'queens:n=1.5'" in err and "internal" not in err
 
 
+def test_a_bad_restart_value_exits_three_naming_the_field(capsys):
+    code, out, err = run(capsys, "solve", "queens:n=4", "--restart", "geo:x:2")
+    assert code == 3
+    assert "result:" not in out
+    assert "bad value 'x' for BASE in restart spec 'geo:x:2'" in err and "internal" not in err
+
+
 def test_nan_timeout_and_non_finite_restarts_exit_three(capsys):
     # each is rejected before any search runs
     bad = (("--timeout", "nan"), ("--restart", "geo:1:inf"), ("--restart", "geo:1:nan"))

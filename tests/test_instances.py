@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import grid
 from oracle import count_solutions, satisfiable
 from macsolver.instances import (
+    _nth_pair,
     gen_chessboard,
     gen_langford,
     gen_model_d,
@@ -59,6 +61,30 @@ def test_model_d_deterministic_per_seed():
     assert a == b
     c = gen_model_d(n=7, d=4, e=12, t=0.4, seed=10)
     assert a != c
+
+
+def test_nth_pair_unranks_the_lexicographic_pairs():
+    for n in range(2, 61):
+        pairs = list(combinations(range(n), 2))
+        assert [_nth_pair(n, k) for k in range(len(pairs))] == pairs, n
+    # the first and last pair of every row at n = 2000
+    n, start = 2000, 0
+    for i in range(n - 1):
+        assert _nth_pair(n, start) == (i, i + 1)
+        start += n - 1 - i
+        assert _nth_pair(n, start - 1) == (i, n - 1)
+    assert start == n * (n - 1) // 2
+
+
+def test_a_sparse_random_instance_does_not_build_every_pair():
+    tracemalloc.start()
+    try:
+        p = parse_spec("modelD:n=2000,d=2,e=1,t=0.5,seed=0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(p.constraints) == 1
+    assert peak < 10_000_000  # the 1,999,000 pairs alone took over 100 MB
 
 
 def test_model_rb_planted_solution_survives():

@@ -72,6 +72,12 @@ def test_parse_restarts():
         parse_restarts("geo:10")
     with pytest.raises(ValueError):
         parse_restarts("bogus:1:2")
+    for text, field, raw in (
+        ("geo:x:2", "BASE", "x"), ("arith:10:1.5", "STEP", "1.5"), ("geo:10:abc", "FACTOR", "abc")
+    ):
+        with pytest.raises(ValueError) as err:
+            parse_restarts(text)
+        assert str(err.value) == f"bad value {raw!r} for {field} in restart spec {text!r}"
 
 
 def test_restarts_reject_non_finite_factors():
