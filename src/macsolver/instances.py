@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations
+from itertools import combinations, compress
 
 from .model import Constraint, Problem
 
@@ -55,18 +55,21 @@ def _random_binary(n: int, d: int, e: int, t: float, seed: int, planted: bool) -
     variables = tuple(f"x{i}" for i in range(n))
     # the planted values come first from the generator, before the pairs
     values = [rng.randrange(d) for _ in range(n)] if planted else None
+    # one tuple per value pair, shared by every table of the instance
+    pairs = [(a, b) for a in range(d) for b in range(d)]
+    draw = rng.random
     # random.sample reads its population only through len and indexing, so
     # sampling pair indices draws what sampling the pair list would draw
     specs = []
     for k in rng.sample(range(max_pairs), e):
         i, j = _nth_pair(n, k)
-        keep = (values[i], values[j]) if planted else None
-        forbidden = frozenset(
-            (a, b)
-            for a in range(d)
-            for b in range(d)
-            if (a, b) != keep and rng.random() < t
-        )
+        live = pairs
+        if planted:
+            # the planted pair is never forbidden and takes no draw
+            kept = values[i] * d + values[j]
+            live = pairs[:kept] + pairs[kept + 1 :]
+        # one draw per live pair, in lexicographic order
+        forbidden = frozenset(compress(live, [draw() < t for _ in live]))
         specs.append(
             dict(scope=(variables[i], variables[j]), kind="forbidden", tuples=forbidden)
         )

@@ -57,11 +57,11 @@ class Constraint:
             if self.tuples is None:
                 raise InstanceError(f"constraint {self.id}: missing tuple table")
             arity = len(self.scope)
-            for t in self.tuples:
-                if len(t) != arity:
-                    raise InstanceError(
-                        f"constraint {self.id}: tuple width {len(t)} != arity {arity}"
-                    )
+            bad = set(map(len, self.tuples)) - {arity}
+            if bad:
+                raise InstanceError(
+                    f"constraint {self.id}: tuple width {min(bad)} != arity {arity}"
+                )
             table = self.tuples
             if self.kind == "allowed":
                 self.test = lambda t: t in table
@@ -323,6 +323,8 @@ def load_problem(text: str) -> Problem:
     if not isinstance(raw_cons, list):
         raise InstanceError("field 'constraints' must be a list")
     constraints: list[Constraint] = []
+    # one tuple object per distinct value tuple, shared by every table
+    canon: dict[tuple[int, ...], tuple[int, ...]] = {}
     for entry in raw_cons:
         if not isinstance(entry, dict):
             raise InstanceError("constraint entries must be objects")
@@ -346,7 +348,8 @@ def load_problem(text: str) -> Problem:
                     isinstance(v, int) and not isinstance(v, bool) for v in t
                 ):
                     raise InstanceError(f"constraint {cid}: tuples must be lists of ints")
-                tuples.add(tuple(t))
+                tup = tuple(t)
+                tuples.add(canon.setdefault(tup, tup))
             constraints.append(
                 Constraint(id=cid, scope=tuple(scope), kind=kind, tuples=frozenset(tuples))
             )

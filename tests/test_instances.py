@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import random
 import sys
 import tracemalloc
 from itertools import combinations
@@ -12,6 +13,7 @@ import grid
 from oracle import count_solutions, satisfiable
 from macsolver.instances import (
     _nth_pair,
+    _problem,
     gen_chessboard,
     gen_langford,
     gen_model_d,
@@ -85,6 +87,61 @@ def test_a_sparse_random_instance_does_not_build_every_pair():
         tracemalloc.stop()
     assert len(p.constraints) == 1
     assert peak < 10_000_000  # the 1,999,000 pairs alone took over 100 MB
+
+
+def _per_pair_reference(n, d, e, t, seed, planted, kept_at):
+    """The random generator as it was written before its tables shared tuples.
+
+    One generator expression per table makes a fresh tuple for each forbidden
+    pair. Appends the index of each table's planted pair to ``kept_at``.
+    """
+    rng = random.Random(seed)
+    variables = tuple(f"x{i}" for i in range(n))
+    values = [rng.randrange(d) for _ in range(n)] if planted else None
+    specs = []
+    for k in rng.sample(range(n * (n - 1) // 2), e):
+        i, j = _nth_pair(n, k)
+        keep = (values[i], values[j]) if planted else None
+        if planted:
+            kept_at.append(values[i] * d + values[j])
+        forbidden = frozenset(
+            (a, b)
+            for a in range(d)
+            for b in range(d)
+            if (a, b) != keep and rng.random() < t
+        )
+        specs.append(
+            dict(scope=(variables[i], variables[j]), kind="forbidden", tuples=forbidden)
+        )
+    name = f"{'modelRB' if planted else 'modelD'}-{n}-{d}-{e}-{t}-{seed}"
+    return _problem(name, variables, d, specs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+def test_random_tables_draw_what_the_per_pair_generator_drew(d):
+    n, e = 6, 12
+    kept_at: list[int] = []
+    for t in (0.0, 0.3, 1.0):
+        for seed in range(10):
+            for planted, gen in ((False, gen_model_d), (True, gen_model_rb)):
+                want = _per_pair_reference(n, d, e, t, seed, planted, kept_at)
+                got = gen(n=n, d=d, e=e, t=t, seed=seed)
+                assert dump_problem(got) == dump_problem(want), (t, seed, planted)
+    # a planted pair at the first and at the last value pair was covered; at
+    # d = 1 they are the one pair, whose table is empty and takes no draw
+    assert {0, d * d - 1} <= set(kept_at)
+    if d == 1:
+        assert all(not c.tuples for c in gen_model_rb(n=n, d=1, e=e, t=1.0, seed=0).constraints)
+
+
+@pytest.mark.parametrize("family", ["modelD", "modelRB"])
+def test_random_tables_share_one_tuple_per_value_pair(family):
+    p = parse_spec(f"{family}:n=20,d=8,e=110,t=0.3,seed=0")
+    assert len({id(t) for c in p.constraints for t in c.tuples}) <= 64
+    # a load keeps one object per distinct value tuple too
+    q = load_problem(dump_problem(p))
+    distinct = {t for c in q.constraints for t in c.tuples}
+    assert len({id(t) for c in q.constraints for t in c.tuples}) <= len(distinct)
 
 
 def test_model_rb_planted_solution_survives():

@@ -322,6 +322,23 @@ def test_load_problem_rejects_mixed_kind_payloads():
         load_problem(json.dumps(doc))
 
 
+def test_a_table_of_mixed_widths_names_the_wrong_width():
+    mixed = [[0, 1], [0, 1, 2]]
+    with pytest.raises(InstanceError, match=r"constraint c: tuple width 3 != arity 2"):
+        Constraint(id="c", scope=("x", "y"), kind="allowed", tuples=frozenset(map(tuple, mixed)))
+    text = json.dumps(
+        {
+            "name": "mixed",
+            "variables": [{"id": "x", "domain": [0, 1]}, {"id": "y", "domain": [1, 2]}],
+            "constraints": [
+                {"id": "c", "scope": ["x", "y"], "kind": "forbidden", "tuples": mixed}
+            ],
+        }
+    )
+    with pytest.raises(InstanceError, match=r"constraint c: tuple width 3 != arity 2"):
+        load_problem(text)
+
+
 def test_load_problem_bad_json_reports_position():
     with pytest.raises(InstanceError) as exc:
         load_problem("{not json")
