@@ -22,8 +22,14 @@ def _wdeg_score(w: int, dom: int):
     return -w if w > 0 else float(dom)
 
 
+def _wdeg_key(d, hstate):
+    w = hstate.wdegs()
+    return lambda x: _wdeg_score(w[x], d.size(x))
+
+
 def _dom_over_wdeg(d, hstate):
-    return lambda x: dom_ratio(d.size(x), hstate.wdeg(x))
+    w = hstate.wdegs()
+    return lambda x: dom_ratio(d.size(x), w[x])
 
 
 def _impact_key(d, hstate):
@@ -33,7 +39,9 @@ def _impact_key(d, hstate):
 
 
 # base -> score builder. A builder takes (d, hstate) and returns the score
-# of one unassigned variable of hstate.problem; smaller is preferred.
+# of one unassigned variable of hstate.problem; smaller is preferred. The
+# conflict-driven builders take every weighted degree in one pass, so a
+# builder's key is valid while the weights and the assigned set stay put.
 SCORE_BUILDERS = {
     "dom": lambda d, hs: d.size,
     "deg": lambda d, hs: lambda x: -len(hs.problem.neighborhood[x]),
@@ -41,7 +49,7 @@ SCORE_BUILDERS = {
     "dom+deg": lambda d, hs: lambda x: (d.size(x), -len(hs.problem.neighborhood[x])),
     "dom/ddeg": lambda d, hs: lambda x: dom_ratio(d.size(x), hs.ddeg(x)),
     "mdvo": lambda d, hs: lambda x: _mdvo_score(x, hs.problem, d),
-    "wdeg": lambda d, hs: lambda x: _wdeg_score(hs.wdeg(x), d.size(x)),
+    "wdeg": _wdeg_key,
     "dom/wdeg": _dom_over_wdeg,
     "alldel": _dom_over_wdeg,
     "fully": _dom_over_wdeg,
@@ -176,6 +184,24 @@ class HeuristicState:
             for c in self.problem.constraints_on[x]
             if self.qualified(c, x)
         )
+
+    def wdegs(self) -> dict[str, int]:
+        """wdeg(x) for every variable, from one pass over the constraints."""
+        assigned = self.assigned
+        weight = self.weights.weight
+        out = dict.fromkeys(self.problem.variables, 0)
+        for c in self.problem.constraints:
+            free = [y for y in c.scope if y not in assigned]
+            if not free:
+                continue
+            w = weight[c.id]
+            # with two free variables c qualifies for its whole scope; with
+            # one, for every scope variable except that one
+            lone = free[0] if len(free) == 1 else None
+            for x in c.scope:
+                if x != lone:
+                    out[x] += w
+        return out
 
     def ddeg(self, x: str) -> int:
         return sum(1 for c in self.problem.constraints_on[x] if self.qualified(c, x))

@@ -169,8 +169,8 @@ def seek_support(
 
     `others` holds the live values of c's other scope variables, in scope
     order without position i. It is valid only while those domains do not
-    change, that is, within one revision. Enumeration is lexicographic over
-    `others`, so check counts are deterministic.
+    change. Enumeration is lexicographic over `others`, so check counts are
+    deterministic.
     """
     if len(others) == 1:
         if i == 0:
@@ -182,8 +182,7 @@ def seek_support(
                 if check_tuple(c, (b, a), stats):
                     return True
         return False
-    for combo in product(*others):
-        t = combo[:i] + (a,) + combo[i:]
+    for t in product(*others[:i], (a,), *others[i:]):
         if check_tuple(c, t, stats):
             return True
     return False

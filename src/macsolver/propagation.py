@@ -94,9 +94,11 @@ class PropagationOutcome:
 class RevisionQueue:
     """Duplicate-free pending set in FIFO insertion order, plus ctr counters.
 
-    ctr maps (constraint id, variable) to the number of values removed from
-    that variable's domain since the constraint was last processed. Only the
-    variable and constraint schemes keep it; arc queues leave it empty.
+    ctr maps a constraint id to its row {variable: values removed from that
+    variable's domain since the constraint was last processed}. A row holds
+    only positive entries, so a variable with no pending removals has none.
+    Only the variable and constraint schemes keep ctr; arc queues leave it
+    empty.
     """
 
     def __init__(self, kind: str):
@@ -104,7 +106,7 @@ class RevisionQueue:
             raise ValueError(f"unknown queue kind {kind!r}")
         self.kind = kind
         self._pending: dict = {}
-        self.ctr: dict[tuple[str, str], int] = {}
+        self.ctr: dict[str, dict[str, int]] = {}
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -126,14 +128,16 @@ class RevisionQueue:
         return list(self._pending)
 
     def bump(self, cid: str, x: str, removed: int) -> None:
-        self.ctr[(cid, x)] = self.ctr.get((cid, x), 0) + removed
+        """Record `removed` (> 0) more values lost by x since cid was processed."""
+        row = self.ctr.setdefault(cid, {})
+        row[x] = row.get(x, 0) + removed
 
     def ctr_of(self, cid: str, x: str) -> int:
-        return self.ctr.get((cid, x), 0)
+        row = self.ctr.get(cid)
+        return row.get(x, 0) if row else 0
 
     def reset_ctr(self, c: Constraint) -> None:
-        for x in c.scope:
-            self.ctr[(c.id, x)] = 0
+        self.ctr.pop(c.id, None)
 
 
 def needs_not_be_revised(q: RevisionQueue, c: Constraint) -> str | None:
@@ -141,29 +145,24 @@ def needs_not_be_revised(q: RevisionQueue, c: Constraint) -> str | None:
 
     That variable is the only one of c with pending removals: removing values
     from it cannot destroy supports of its remaining values on c. None when
-    no variable or more than one has pending removals. Reads each of c's ctr
-    entries at most once.
+    no variable or more than one has pending removals. Reads c's ctr row
+    once: the variable exists exactly when the row has one entry.
     """
-    redundant = None
-    for y in c.scope:
-        if q.ctr_of(c.id, y) > 0:
-            if redundant is not None:
-                return None
-            redundant = y
-    return redundant
+    row = q.ctr.get(c.id, ())
+    return next(iter(row)) if len(row) == 1 else None
 
 
 def initial_queue(problem: Problem, scheme: str) -> RevisionQueue:
     """Preprocessing seeds: every element, and every ctr counter set to 1."""
     q = RevisionQueue(scheme)
     for c in problem.constraints:
+        if scheme == "arc":
+            for x in c.scope:
+                q.add((c.id, x))
+            continue
         if scheme == "constraint":
             q.add(c.id)
-        for x in c.scope:
-            if scheme == "arc":
-                q.add((c.id, x))
-            else:
-                q.ctr[(c.id, x)] = 1
+        q.ctr[c.id] = dict.fromkeys(c.scope, 1)
     if scheme == "variable":
         for x in problem.variables:
             q.add(x)
@@ -206,19 +205,23 @@ def update_queue(problem: Problem, scheme: str, x: str, removed: int) -> Revisio
     return q
 
 
-def revise(d: DomainStore, c: Constraint, x: str, stats) -> int:
+def revise(d: DomainStore, c: Constraint, x: str, stats, live=None) -> int:
     """Remove the values of x without support on c; returns the removal count.
 
-    Only x loses values while x is revised, so x's scope position and the
-    other scope variables' live values (`others`) are read once, before the
-    first value. `others` is valid only within this revision: once another
-    scope domain changes it is stale.
+    `live` holds the live values of every scope variable in scope order, as
+    read by the caller; without it each scope domain is read once here. Only
+    x loses values while x is revised, so x's scope position and the other
+    variables' values (`others`) stay valid for the whole revision. Once x
+    loses a value, `live` is stale at x's position and the caller must read
+    D(x) again before passing it on.
     """
     scope = c.scope
     i = scope.index(x)
-    others = [d.current(y) for y in scope if y != x]
+    if live is None:
+        live = [d.current(y) for y in scope]
+    others = live[:i] + live[i + 1:]
     removed = 0
-    for a in d.current(x):
+    for a in live[i]:
         if not seek_support(c, i, a, others, stats):
             d.remove(x, a)
             removed += 1
@@ -303,15 +306,21 @@ def propagate(
             # read lazily: revising an earlier constraint can raise this ctr
             if by_variable and queue.ctr_of(c.id, elem) == 0:
                 continue
-            # read c's ctr once: _requeue skips c, so c's own removals never
-            # bump it and the redundant revision stays the same for the loop
+            # read c's ctr row once: _requeue skips c, so c's own removals
+            # never bump it and the redundant revision stays the same for the
+            # loop. Read the scope's domains once too; a fruitful revision
+            # shrinks only the revised variable, so only that one is read again
             redundant = needs_not_be_revised(queue, c)
-            for y in c.scope:
+            scope = c.scope
+            live = [d.current(y) for y in scope]
+            for j, y in enumerate(scope):
                 if y == redundant:
                     continue
-                removed = revise(d, c, y, stats)
-                if removed > 0 and (wiped := revised(c, y, removed)):
-                    return wiped
+                removed = revise(d, c, y, stats, live)
+                if removed > 0:
+                    if wiped := revised(c, y, removed):
+                        return wiped
+                    live[j] = d.current(y)
             # c is now fully propagated: clear its pending-removal counters
             queue.reset_ctr(c)
 

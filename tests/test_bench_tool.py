@@ -1,0 +1,59 @@
+import importlib.util
+import os
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location("bench", os.path.join(ROOT, "tools", "bench.py"))
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+
+def run(wall, share, attempted=10):
+    return {
+        "provenance": {"seed": 1},
+        "compare": [],
+        "attempted": attempted,
+        "failed": 0,
+        "correct": True,
+        "metrics": {"wall_s": wall, "passed_share": share},
+    }
+
+
+def test_summary_gives_median_and_quartiles():
+    assert bench.summary([4.0, 1.0, 3.0, 2.0, 5.0]) == {
+        "median": 3.0, "q1": 2.0, "q3": 4.0, "runs": [4.0, 1.0, 3.0, 2.0, 5.0],
+    }
+    assert bench.summary([2.5]) == {"median": 2.5, "q1": 2.5, "q3": 2.5, "runs": [2.5]}
+
+
+def test_wins_count_better_pairs_by_direction_ties_for_neither():
+    mine = [run(1.0, 1.0), run(2.0, 0.5), run(3.0, 1.0)]
+    theirs = [run(2.0, 1.0), run(2.0, 1.0), run(1.0, 0.9)]
+    got = bench.wins(mine, theirs, {"wall_s": "lower", "passed_share": "higher"})
+    assert got == {"wall_s": 1, "passed_share": 1}
+
+
+def test_workload_record_keeps_every_run():
+    traced = run(0.0, 1.0)
+    traced["metrics"] = {"revisions": 7}
+    rec = bench.workload_record([run(1.0, 1.0, 8), run(3.0, 1.0, 9)], traced)
+    assert rec["attempted"] == [8, 9]
+    assert rec["end_to_end"]["wall_s"]["median"] == pytest.approx(2.0)
+    assert rec["per_layer"] == {"revisions": 7}
+    assert rec["correct"] and rec["failed"] == 0
+    assert len(rec["provenance"]) == 3
+
+
+def test_perfbench_run_carries_its_side_commit(monkeypatch):
+    out = "\n".join([
+        'provenance {"commit": "read from HEAD", "seed": 1}',
+        "compare wall_s 1.0",
+        '{"attempted": 3, "failed": 0, "correct": true, "metrics": {"wall_s": {"value": 1.0}}}',
+    ])
+    done = bench.subprocess.CompletedProcess([], 0, stdout=out, stderr="")
+    monkeypatch.setattr(bench.subprocess, "run", lambda *a, **k: done)
+    got = bench.perfbench("tree", "abc plus uncommitted changes", "w", 1, 35, 0)
+    assert got["provenance"] == {"commit": "abc plus uncommitted changes", "seed": 1}
+    assert got["compare"] == ["compare wall_s 1.0"]
+    assert got["metrics"] == {"wall_s": 1.0} and got["attempted"] == 3

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -32,7 +33,7 @@ from macsolver.heuristics import (
     variable_impact,
     weight_policy_for,
 )
-from macsolver.instances import gen_langford, gen_model_d, gen_queens
+from macsolver.instances import gen_chessboard, gen_langford, gen_model_d, gen_queens
 from macsolver.model import Constraint, DomainStore, Problem, SearchStats
 from macsolver.search import random_probe
 
@@ -184,6 +185,26 @@ def test_qualification_and_wdeg():
     assert hstate.ddeg("x") == 1
     hstate.assigned.add("x2")
     assert hstate.wdeg("x") == 0
+
+
+@pytest.mark.parametrize("policy", ["wdeg", "alldel", "fully"])
+@pytest.mark.parametrize("make", [
+    lambda: gen_model_d(n=12, d=4, e=30, t=0.4, seed=2),
+    lambda: gen_chessboard(3, 4, 2),
+], ids=["modelD", "chessboard"])
+def test_wdegs_equals_wdeg_of_every_variable(policy, make):
+    p = make()
+    rng = random.Random(f"{policy}-{p.name}")
+    hstate = fresh_state(p, policy)
+    ids = [c.id for c in p.constraints]
+    for _ in range(20):
+        for _ in range(3):
+            hstate.weights.on_deletion(rng.choice(ids), rng.randint(1, 3))
+            hstate.weights.on_dwo(rng.choice(ids), frozenset(rng.sample(ids, 3)))
+        hstate.assigned = set(rng.sample(p.variables, rng.randint(0, len(p.variables))))
+        got = hstate.wdegs()
+        assert got == {x: hstate.wdeg(x) for x in p.variables}
+    assert len(set(hstate.weights.snapshot().values())) > 1
 
 
 def test_score_variable_bases():

@@ -9,7 +9,7 @@ from nary import gen_nary
 from oracle import ac_fixpoint
 from macsolver import propagation
 from macsolver.heuristics import HeuristicState, WeightStore
-from macsolver.instances import gen_model_d
+from macsolver.instances import gen_chessboard, gen_model_d
 from macsolver.model import Constraint, DomainStore, Problem, SearchStats
 from macsolver.propagation import (
     POLICIES_BY_SCHEME,
@@ -238,6 +238,68 @@ def test_propagate_reads_redundancy_once_per_constraint(monkeypatch, scheme, pol
     _, out = run_to_fixpoint(p, scheme, policy)
     wiped = [] if out.consistent else [out.dwo_constraint]
     assert asked and asked == reset + wiped
+
+
+@pytest.mark.parametrize("scheme,policy", [
+    (s, p) for s, p in ALL_COMBOS if s != "arc"
+])
+def test_propagate_reads_each_scope_domain_once_per_constraint(monkeypatch, scheme, policy):
+    # a processed constraint reads each scope domain once, and once more
+    # the variable each fruitful revision shrank; the variable scheme's
+    # filter reads one ctr entry per constraint on the selected variable
+    p = gen_chessboard(3, 3, 2)
+    reads, ctr_reads, processed, fruitful, selected = [], [], [], [], []
+    current, ctr_of = DomainStore.current, RevisionQueue.ctr_of
+    real_needs, real_revise, real_select = needs_not_be_revised, revise, select_next
+
+    def counted_current(d, x):
+        reads.append(x)
+        return current(d, x)
+
+    def counted_ctr_of(q, cid, x):
+        ctr_reads.append((cid, x))
+        return ctr_of(q, cid, x)
+
+    def counted_needs(q, c):
+        processed.append(c)
+        return real_needs(q, c)
+
+    def counted_revise(d, c, x, *rest):
+        removed = real_revise(d, c, x, *rest)
+        if removed:
+            fruitful.append(x)
+        return removed
+
+    def counted_select(q, key):
+        elem = real_select(q, key)
+        selected.append(elem)
+        return elem
+
+    monkeypatch.setattr(propagation, "needs_not_be_revised", counted_needs)
+    monkeypatch.setattr(propagation, "revise", counted_revise)
+    monkeypatch.setattr(propagation, "select_next", counted_select)
+    d = DomainStore(p)
+    hstate = unit_state(p)
+    # three corners of the first square set to one color leave the fourth
+    # corner one value, and that removal propagates further
+    for x in ("s0_0", "s0_1", "s1_0"):
+        removed = d.assign(x, 0)
+        hstate.assigned.add(x)
+        for log in (reads, ctr_reads, processed, fruitful, selected):
+            del log[:]
+        monkeypatch.setattr(DomainStore, "current", counted_current)
+        monkeypatch.setattr(RevisionQueue, "ctr_of", counted_ctr_of)
+        out = propagate(d, policy, update_queue(p, scheme, x, removed), hstate, SearchStats())
+        monkeypatch.setattr(DomainStore, "current", current)
+        monkeypatch.setattr(RevisionQueue, "ctr_of", ctr_of)
+        assert out.consistent, x
+        assert processed, x
+        assert len(reads) == sum(len(c.scope) for c in processed) + len(fruitful), x
+        if scheme == "variable":
+            assert len(ctr_reads) == sum(len(p.constraints_on[y]) for y in selected), x
+        else:
+            assert not ctr_reads, x
+    assert fruitful == ["s1_1"]
 
 
 @pytest.mark.parametrize("scheme,policy", [

@@ -1,0 +1,177 @@
+"""Run perfbench on its workloads and write BENCH_<LABEL>.json at the repo root.
+
+    python3 tools/bench.py LABEL [--against COMMIT]
+
+For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0``
+10 times on this checkout, for BENCHMARK.json's ``run_seconds`` (35) each,
+with seeds 1..10, then one ``--trace 1 --seconds 1`` run. With ``--against``
+it also extracts COMMIT's tree into a temporary directory and runs it the
+same way: run i of each side forms pair i, and the side that runs first
+alternates from pair to pair. That side is written to BENCH_parent.json, and
+LABEL's file counts, per end-to-end metric, the pairs in which LABEL's run
+was better.
+
+Each file holds, per workload: every end-to-end metric's median, quartiles
+and runs; ``attempted`` per run (case runs, which ``peak_rss_mb`` and
+``setup_s`` grow with); the traced run's per-layer metrics and ``compare``
+lines; and perfbench's ``provenance`` line of every run, whose ``commit`` is
+replaced by the side's own (perfbench reads HEAD, which misnames a dirty
+checkout and is absent from an extracted tree). perfbench itself is not
+changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RUN_TIMEOUT_S = 600
+PAIRS = 10
+OTHER_LABEL = "parent"
+
+
+def perfbench(
+    tree: str, commit: str, workload: str, seed: int, seconds: float, trace: int
+) -> dict:
+    """One perfbench run in `tree` of `commit`: provenance, compare lines, result."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    done = subprocess.run(
+        cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+    )
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or not lines or not lines[0].startswith("provenance "):
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{done.stderr}")
+    result = json.loads(lines[-1])
+    provenance = json.loads(lines[0][len("provenance "):])
+    provenance["commit"] = commit
+    return {
+        "provenance": provenance,
+        "compare": [line for line in lines if line.startswith("compare ")],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "correct": result["correct"],
+        "metrics": {k: m["value"] for k, m in result["metrics"].items()},
+    }
+
+
+def summary(values: list[float]) -> dict:
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
+
+
+def workload_record(untraced: list[dict], traced: dict) -> dict:
+    return {
+        "attempted": [r["attempted"] for r in untraced],
+        "failed": sum(r["failed"] for r in untraced + [traced]),
+        "correct": all(r["correct"] for r in untraced + [traced]),
+        "end_to_end": {
+            k: summary([r["metrics"][k] for r in untraced]) for k in untraced[0]["metrics"]
+        },
+        "per_layer": traced["metrics"],
+        "compare": traced["compare"],
+        "provenance": [r["provenance"] for r in untraced + [traced]],
+    }
+
+
+def wins(mine: list[dict], theirs: list[dict], better: dict[str, str]) -> dict:
+    """Per end-to-end metric, the pairs in which `mine` read better."""
+    out = {}
+    for k, direction in better.items():
+        sign = -1 if direction == "lower" else 1
+        out[k] = sum(
+            sign * (a["metrics"][k] - b["metrics"][k]) > 0 for a, b in zip(mine, theirs)
+        )
+    return out
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def extract(commit: str, dest: str) -> None:
+    """Write `commit`'s tree into `dest`."""
+    archive = subprocess.Popen(["git", "archive", commit], cwd=ROOT, stdout=subprocess.PIPE)
+    try:
+        subprocess.run(["tar", "-x", "-C", dest], stdin=archive.stdout, check=True)
+    finally:
+        archive.stdout.close()
+        if archive.wait() != 0:
+            raise RuntimeError(f"git archive {commit} failed")
+
+
+def write(label: str, doc: dict) -> None:
+    path = os.path.join(ROOT, f"BENCH_{label}.json")
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=1)
+        f.write("\n")
+    print(f"wrote {path}", file=sys.stderr)
+
+
+def main(argv=None) -> int:
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+        spec = json.load(f)
+    names = [w["name"] for w in spec["workloads"]]
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    seconds = spec["run_seconds"]
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("label")
+    ap.add_argument("--against", metavar="COMMIT")
+    args = ap.parse_args(argv)
+    if args.against and args.label == OTHER_LABEL:
+        ap.error(f"LABEL must differ from {OTHER_LABEL!r} with --against")
+    head = git("rev-parse", "HEAD")
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    sides = [(args.label, ROOT, head + (" plus uncommitted changes" if dirty else ""))]
+    with tempfile.TemporaryDirectory(prefix="macsolver-bench-") as tmp:
+        if args.against:
+            commit = git("rev-parse", "--verify", args.against + "^{commit}")
+            extract(commit, tmp)
+            sides.append((OTHER_LABEL, tmp, commit))
+        runs = {label: {w: [] for w in names} for label, _, _ in sides}
+        traced = {label: {} for label, _, _ in sides}
+        for w in names:
+            for i in range(PAIRS):
+                order = sides if i % 2 == 0 else sides[::-1]
+                for label, tree, commit in order:
+                    print(f"{w} pair {i + 1}/{PAIRS}: {label}", file=sys.stderr)
+                    runs[label][w].append(perfbench(tree, commit, w, i + 1, seconds, 0))
+            for label, tree, commit in sides:
+                traced[label][w] = perfbench(tree, commit, w, 1, 1, 1)
+    for label, _, commit in sides:
+        doc = {
+            "label": label,
+            "commit": commit,
+            "seconds": seconds,
+            "pairs": PAIRS,
+            "workloads": {
+                w: workload_record(runs[label][w], traced[label][w]) for w in names
+            },
+        }
+        if label == args.label and args.against:
+            doc["against"] = {
+                "label": OTHER_LABEL,
+                "commit": sides[1][2],
+                "wins": {
+                    w: wins(runs[label][w], runs[OTHER_LABEL][w], better) for w in names
+                },
+            }
+        write(label, doc)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
