@@ -14,6 +14,7 @@ import sys
 import traceback
 
 from .harness import (
+    REPORT_KEY,
     ExperimentSpec,
     dependency_report,
     format_table,
@@ -102,10 +103,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_report(args) -> int:
     rows = read_csv(args.results)
-    report = dependency_report(rows)
-    print("instance,var_heur,node_variance")
-    for instance, var_heur, var in report:
-        print(f"{instance},{var_heur},{var:.6g}")
+    print(",".join(REPORT_KEY + ("node_variance",)))
+    for *key, var in dependency_report(rows):
+        print(",".join(key) + f",{var:.6g}")
     return 0
 
 

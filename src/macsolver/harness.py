@@ -62,6 +62,9 @@ _MEASURED = ("time_ms", "nodes", "checks", "revisions", "dwos")
 
 # revision policies whose node counts feed the ordering-dependence report
 DEPENDENCY_POLICIES = ("fifo", "dom", "v_dom/wdeg")
+# the report's group key: every configuration column except the revision
+# policy, which varies inside a group, and the seed, averaged over
+REPORT_KEY = ("instance", "scheme", "var_heur", "restart", "value_order")
 
 
 @dataclass
@@ -287,31 +290,31 @@ def variance(values: list) -> float:
     return statistics.pvariance(values)
 
 
-def dependency_report(rows: list[ResultRow]) -> list[tuple[str, str, float]]:
-    """Node-count variance per (instance, variable heuristic).
+def dependency_report(rows: list[ResultRow]) -> list[tuple]:
+    """Node-count variance per group of rows that differ only in policy and seed.
 
-    For each group, takes one node count per revision policy in
-    DEPENDENCY_POLICIES (the per-policy mean when several seeds are present)
-    and reports the population variance across the three. Groups missing a
-    policy are skipped with a warning.
+    A group is one value of the REPORT_KEY columns. For each group, takes one
+    node count per revision policy in DEPENDENCY_POLICIES (the per-policy
+    mean when several seeds are present) and reports the population variance
+    across the three, as the group's REPORT_KEY values followed by the
+    variance. Groups missing a policy are skipped with a warning.
     """
-    by_group: dict[tuple[str, str], dict[str, list[float]]] = {}
+    by_group: dict[tuple, dict[str, list[float]]] = {}
     for row in rows:
         if row.seed == "avg" or row.rev_heur not in DEPENDENCY_POLICIES:
             continue
-        cell = by_group.setdefault((row.instance, row.var_heur), {})
+        cell = by_group.setdefault(tuple(getattr(row, col) for col in REPORT_KEY), {})
         cell.setdefault(row.rev_heur, []).append(float(row.nodes))
     report = []
-    for (instance, var_heur), cell in by_group.items():
+    for key, cell in by_group.items():
         missing = [p for p in DEPENDENCY_POLICIES if p not in cell]
         if missing:
             log.warning(
-                "dependency report: %s / %s missing %s, skipped",
-                instance,
-                var_heur,
+                "dependency report: %s missing %s, skipped",
+                " / ".join(key),
                 ", ".join(missing),
             )
             continue
         points = [statistics.fmean(cell[p]) for p in DEPENDENCY_POLICIES]
-        report.append((instance, var_heur, variance(points)))
+        report.append((*key, variance(points)))
     return report

@@ -22,33 +22,34 @@ def _wdeg_score(w: int, dom: int):
     return -w if w > 0 else float(dom)
 
 
-def _wdeg_key(d, hstate):
-    w = hstate.wdegs()
-    return lambda x: _wdeg_score(w[x], d.size(x))
+def _wdeg_key(state):
+    w, size = state.wdegs(), state.d.size
+    return lambda x: _wdeg_score(w[x], size(x))
 
 
-def _dom_over_wdeg(d, hstate):
-    w = hstate.wdegs()
-    return lambda x: dom_ratio(d.size(x), w[x])
+def _dom_over_wdeg(state):
+    w, size = state.wdegs(), state.d.size
+    return lambda x: dom_ratio(size(x), w[x])
 
 
-def _impact_key(d, hstate):
-    if hstate.impacts is None:
+def _impact_key(state):
+    impacts, d = state.impacts, state.d
+    if impacts is None:
         raise ValueError("impact heuristic used without an impact store")
-    return lambda x: variable_impact(hstate.impacts, x, d)
+    return lambda x: variable_impact(impacts, x, d)
 
 
-# base -> score builder. A builder takes (d, hstate) and returns the score
-# of one unassigned variable of hstate.problem; smaller is preferred. The
+# base -> score builder. A builder takes the state and returns the score of
+# one unassigned variable of state.problem; smaller is preferred. The
 # conflict-driven builders take every weighted degree in one pass, so a
 # builder's key is valid while the weights and the assigned set stay put.
 SCORE_BUILDERS = {
-    "dom": lambda d, hs: d.size,
-    "deg": lambda d, hs: lambda x: -len(hs.problem.neighborhood[x]),
-    "ddeg": lambda d, hs: lambda x: -hs.ddeg(x),
-    "dom+deg": lambda d, hs: lambda x: (d.size(x), -len(hs.problem.neighborhood[x])),
-    "dom/ddeg": lambda d, hs: lambda x: dom_ratio(d.size(x), hs.ddeg(x)),
-    "mdvo": lambda d, hs: lambda x: _mdvo_score(x, hs.problem, d),
+    "dom": lambda s: s.d.size,
+    "deg": lambda s: lambda x: -len(s.problem.neighborhood[x]),
+    "ddeg": lambda s: lambda x: -s.ddeg(x),
+    "dom+deg": lambda s: lambda x: (s.d.size(x), -len(s.problem.neighborhood[x])),
+    "dom/ddeg": lambda s: lambda x: dom_ratio(s.d.size(x), s.ddeg(x)),
+    "mdvo": lambda s: lambda x: _mdvo_score(x, s.problem, s.d),
     "wdeg": _wdeg_key,
     "dom/wdeg": _dom_over_wdeg,
     "alldel": _dom_over_wdeg,
@@ -166,12 +167,31 @@ class WeightStore:
 
 
 class HeuristicState:
-    """Mutable per-solve context shared by search and propagation ordering."""
+    """The state of one solve, shared by search, its probes and propagation.
 
-    def __init__(self, problem: Problem, weights: WeightStore, impacts: "ImpactStore | None" = None):
+    It owns the problem's domains and the run's counters, and holds the
+    conflict weights, the impact store (or None), the assigned set and the
+    propagation setting: the scheme of the queues propagate_from builds, the
+    revision policy and the deadline.
+    """
+
+    def __init__(
+        self,
+        problem: Problem,
+        weights: WeightStore,
+        impacts: "ImpactStore | None" = None,
+        scheme: str = "variable",
+        policy: str = "fifo",
+        deadline: float = math.inf,
+    ):
         self.problem = problem
         self.weights = weights
         self.impacts = impacts
+        self.scheme = scheme
+        self.policy = policy
+        self.deadline = deadline
+        self.d = DomainStore(problem)
+        self.stats = SearchStats()
         self.assigned: set[str] = set()
 
     def qualified(self, c, x: str) -> bool:
@@ -206,21 +226,6 @@ class HeuristicState:
     def ddeg(self, x: str) -> int:
         return sum(1 for c in self.problem.constraints_on[x] if self.qualified(c, x))
 
-
-@dataclass(frozen=True)
-class SearchContext:
-    """Per-solve setting of the search and its lookahead probes.
-
-    The problem is read from hstate.problem, so it keeps one owner.
-    """
-
-    d: DomainStore
-    hstate: HeuristicState
-    stats: SearchStats
-    scheme: str
-    policy: str
-    deadline: float = math.inf
-
     def propagate_from(self, x: str, removed: int, update_weights: bool = True) -> bool:
         """Propagate the loss of `removed` values of D(x); False on a wipeout.
 
@@ -228,19 +233,17 @@ class SearchContext:
         probes). Raises TimeoutError when a queue selection would start past
         the deadline.
         """
-        return propagate(
-            self.d, self.policy, update_queue(self.hstate.problem, self.scheme, x, removed),
-            self.hstate, self.stats, update_weights, self.deadline,
-        ).consistent
+        queue = update_queue(self.problem, self.scheme, x, removed)
+        return propagate(self, queue, update_weights).consistent
 
 
-def score_variable(h: VOHeuristic, x: str, d: DomainStore, hstate: HeuristicState):
-    """Score one unassigned variable of hstate.problem; smaller is preferred.
+def score_variable(h: VOHeuristic, x: str, state: HeuristicState):
+    """Score one unassigned variable of state.problem; smaller is preferred.
 
     Ratio heuristics fall back to plain |D(x)| when the denominator has no
     qualifying constraint (division guard).
     """
-    return SCORE_BUILDERS[h.base](d, hstate)(x)
+    return SCORE_BUILDERS[h.base](state)(x)
 
 
 def _mdvo_score(x: str, problem: Problem, d: DomainStore) -> float:
@@ -262,19 +265,18 @@ def _mdvo_score(x: str, problem: Problem, d: DomainStore) -> float:
     return math.fsum(ax + alpha(y) for y in gamma) / (len(gamma) ** 2)
 
 
-def select_variable(ctx: SearchContext, h: VOHeuristic) -> str | None:
+def select_variable(state: HeuristicState, h: VOHeuristic) -> str | None:
     """Pick the next unassigned variable, or None when a tie-break probe wipes out.
 
-    The candidate set is the argmin of the base score over ctx.d; ties go to
-    the configured tie-break (declaration order for "lexico"). Probing
+    The candidate set is the argmin of the base score over state.d; ties go
+    to the configured tie-break (declaration order for "lexico"). Probing
     tie-breaks only run when more than one candidate is tied, and raise
-    TimeoutError when a probe would start past ctx.deadline.
+    TimeoutError when a probe would start past state.deadline.
     """
-    hstate = ctx.hstate
-    free = [x for x in hstate.problem.variables if x not in hstate.assigned]
+    free = [x for x in state.problem.variables if x not in state.assigned]
     if not free:
         raise ValueError("no unassigned variable to select")
-    score = SCORE_BUILDERS[h.base](ctx.d, hstate)
+    score = SCORE_BUILDERS[h.base](state)
     if h.tiebreak == "lexico":
         return min(free, key=score)
     scores = [score(x) for x in free]
@@ -283,7 +285,7 @@ def select_variable(ctx: SearchContext, h: VOHeuristic) -> str | None:
     if len(candidates) == 1:
         return candidates[0]
     tiebreak = rsc_tiebreak if h.tiebreak == "rsc" else node_impact_tiebreak
-    return tiebreak(ctx, candidates)
+    return tiebreak(state, candidates)
 
 
 # --- impacts ---------------------------------------------------------------
@@ -354,15 +356,15 @@ def partition_parts(values: list[int]) -> list[list[int]]:
     return out
 
 
-def _lookahead(ctx: SearchContext, x: str, keep) -> tuple[bool, int, int]:
-    """Shrink D(x) to keep, propagate without weight updates, measure, restore ctx.d.
+def _lookahead(state: HeuristicState, x: str, keep) -> tuple[bool, int, int]:
+    """Shrink D(x) to keep, propagate without weight updates, measure, restore state.d.
 
     Returns (consistent, p_before, p_after), products of the other unassigned
     domains, p_after 0 on a wipeout. Raises TimeoutError at a passed deadline.
     """
-    if time.monotonic() >= ctx.deadline:
+    if time.monotonic() >= state.deadline:
         raise TimeoutError
-    d, problem, assigned = ctx.d, ctx.hstate.problem, ctx.hstate.assigned
+    d, problem, assigned = state.d, state.problem, state.assigned
     root = d.mark()
     try:
         removed = 0
@@ -371,44 +373,44 @@ def _lookahead(ctx: SearchContext, x: str, keep) -> tuple[bool, int, int]:
                 d.remove(x, v)
                 removed += 1
         p_before = space_product(problem, d, assigned, exclude=x)
-        if not ctx.propagate_from(x, removed, update_weights=False):
+        if not state.propagate_from(x, removed, update_weights=False):
             return False, p_before, 0
         return True, p_before, space_product(problem, d, assigned, exclude=x)
     finally:
         d.restore(root)
 
 
-def init_impacts(ctx: SearchContext) -> bool:
-    """Initialize ctx.hstate.impacts by probing contiguous sub-domains of every variable.
+def init_impacts(state: HeuristicState) -> bool:
+    """Initialize state.impacts by probing contiguous sub-domains of every variable.
 
     Each part is propagated in isolation and restored; a part that wipes out
     records impact 1 for its values. Returns False when every part of some
     variable wipes out (the problem is inconsistent). Raises TimeoutError,
-    with ctx.d restored, when a part or a propagation's queue selection would
-    start past ctx.deadline.
+    with state.d restored, when a part or a propagation's queue selection
+    would start past state.deadline.
     """
-    for x in ctx.hstate.problem.variables:
+    for x in state.problem.variables:
         live_parts = 0
-        for part in partition_parts(sorted(ctx.d.current(x))):
-            ok, p_before, p_after = _lookahead(ctx, x, part)
+        for part in partition_parts(sorted(state.d.current(x))):
+            ok, p_before, p_after = _lookahead(state, x, part)
             live_parts += ok
             for a in part:
-                observe_impact(ctx.hstate.impacts, x, a, p_before, p_after)
+                observe_impact(state.impacts, x, a, p_before, p_after)
         if live_parts == 0:
             return False
     return True
 
 
-def _probe_scan(ctx: SearchContext, candidates: list[str], score) -> str | None:
+def _probe_scan(state: HeuristicState, candidates: list[str], score) -> str | None:
     """Probe every live value of each candidate once, the candidate marked assigned.
 
-    Values that wipe out are pruned from ctx.d; returns None when a
+    Values that wipe out are pruned from state.d; returns None when a
     candidate's domain empties (the caller must fail the node). Otherwise the
     candidate with the smallest summed score(x, a, p_before, p_after) wins,
     first-listed on ties. Raises TimeoutError when a probe would start past
-    ctx.deadline.
+    state.deadline.
     """
-    d, assigned = ctx.d, ctx.hstate.assigned
+    d, assigned = state.d, state.assigned
     best = None
     best_total = None
     for x in candidates:
@@ -417,7 +419,7 @@ def _probe_scan(ctx: SearchContext, candidates: list[str], score) -> str | None:
         assigned.add(x)
         try:
             for a in d.current(x):
-                ok, p_before, p_after = _lookahead(ctx, x, (a,))
+                ok, p_before, p_after = _lookahead(state, x, (a,))
                 total += score(x, a, p_before, p_after)
                 if not ok:
                     wiped.append(a)
@@ -432,15 +434,15 @@ def _probe_scan(ctx: SearchContext, candidates: list[str], score) -> str | None:
     return best
 
 
-def node_impact_tiebreak(ctx: SearchContext, candidates: list[str]) -> str | None:
+def node_impact_tiebreak(state: HeuristicState, candidates: list[str]) -> str | None:
     """Break ties with exact impacts measured at this node.
 
     Every candidate value is probed, and its impact recorded in
-    ctx.hstate.impacts if there is one; values that wipe out are pruned from
-    ctx.d (None on an emptied candidate). The candidate with the smallest
+    state.impacts if there is one; values that wipe out are pruned from
+    state.d (None on an emptied candidate). The candidate with the smallest
     summed residual (1 - impact) wins, first-listed on ties.
     """
-    store = ctx.hstate.impacts
+    store = state.impacts
 
     def residual(x, a, p_before, p_after):
         if store is None:
@@ -449,14 +451,14 @@ def node_impact_tiebreak(ctx: SearchContext, candidates: list[str]) -> str | Non
             impact = observe_impact(store, x, a, p_before, p_after)
         return 1.0 - impact
 
-    return _probe_scan(ctx, candidates, residual)
+    return _probe_scan(state, candidates, residual)
 
 
-def rsc_tiebreak(ctx: SearchContext, candidates: list[str]) -> str | None:
+def rsc_tiebreak(state: HeuristicState, candidates: list[str]) -> str | None:
     """Break ties by total search-space reduction over one singleton pass.
 
     Each candidate value gets a single assign-and-propagate probe; wiped
-    values are pruned from ctx.d (None on an emptied candidate). The
+    values are pruned from state.d (None on an emptied candidate). The
     candidate with the largest total reduction wins, first-listed on ties.
     """
-    return _probe_scan(ctx, candidates, lambda x, a, p_before, p_after: p_after - p_before)
+    return _probe_scan(state, candidates, lambda x, a, p_before, p_after: p_after - p_before)

@@ -9,11 +9,10 @@ skip revisions that cannot prune anything.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
-from .model import Constraint, DomainStore, Problem, SearchStats, seek_support
+from .model import Constraint, DomainStore, Problem, seek_support
 
 
 def dom_ratio(dom_size: int, weight: int) -> float:
@@ -205,20 +204,17 @@ def update_queue(problem: Problem, scheme: str, x: str, removed: int) -> Revisio
     return q
 
 
-def revise(d: DomainStore, c: Constraint, x: str, stats, live=None) -> int:
+def revise(d: DomainStore, c: Constraint, x: str, stats, live: list[list[int]]) -> int:
     """Remove the values of x without support on c; returns the removal count.
 
     `live` holds the live values of every scope variable in scope order, as
-    read by the caller; without it each scope domain is read once here. Only
-    x loses values while x is revised, so x's scope position and the other
-    variables' values (`others`) stay valid for the whole revision. Once x
-    loses a value, `live` is stale at x's position and the caller must read
-    D(x) again before passing it on.
+    read by the caller. Only x loses values while x is revised, so x's scope
+    position and the other variables' values (`others`) stay valid for the
+    whole revision. Once x loses a value, `live` is stale at x's position and
+    the caller must read D(x) again before passing it on.
     """
     scope = c.scope
     i = scope.index(x)
-    if live is None:
-        live = [d.current(y) for y in scope]
     others = live[:i] + live[i + 1:]
     removed = 0
     for a in live[i]:
@@ -238,30 +234,25 @@ def select_next(q: RevisionQueue, key):
     return elem
 
 
-def propagate(
-    d: DomainStore,
-    policy: str,
-    queue: RevisionQueue,
-    hstate,
-    stats: SearchStats,
-    update_weights: bool = True,
-    deadline: float = math.inf,
-) -> PropagationOutcome:
+def propagate(state, queue: RevisionQueue, update_weights: bool = True) -> PropagationOutcome:
     """Run the queue to fixpoint or to the first domain wipeout.
 
-    The problem is hstate.problem, the scheme is the queue's kind, and policy
+    `state` is the solve's state (heuristics.HeuristicState): propagate reads
+    its problem, domains d, counters stats, weights, wdeg, policy and
+    deadline once per call. The scheme is the queue's kind, and the policy
     must fit it; its key is built once per call, over objects fixed for the
     call. The revisions counter advances once per queue selection and the
     checks counter inside check_tuple. Weight-update events (fruitful
-    revisions, DWOs) go to hstate.weights unless update_weights is False
+    revisions, DWOs) go to state.weights unless update_weights is False
     (lookahead probing must not touch weights). Raises TimeoutError when a
     selection would start past the deadline.
     """
     scheme = queue.kind
+    policy = state.policy
     build = validate_policy(scheme, policy)
-    problem = hstate.problem
-    weights = hstate.weights
-    key = None if build is None else build(problem, d, weights, hstate.wdeg)
+    problem, d, stats = state.problem, state.d, state.stats
+    weights, deadline = state.weights, state.deadline
+    key = None if build is None else build(problem, d, weights, state.wdeg)
     heaviest_first = (lambda c: -weights.get(c.id)) if policy.startswith("v_") else None
     fruitful: set[str] = set()
     total_removed = 0
@@ -292,7 +283,7 @@ def propagate(
         if arc:
             cid, x = elem
             c = problem.by_id[cid]
-            removed = revise(d, c, x, stats)
+            removed = revise(d, c, x, stats, [d.current(y) for y in c.scope])
             if removed > 0 and (wiped := revised(c, x, removed)):
                 return wiped
             continue

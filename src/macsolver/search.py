@@ -20,7 +20,6 @@ from .heuristics import (
     HeuristicState,
     ImpactStore,
     ProbeConfig,
-    SearchContext,
     VOHeuristic,
     WeightStore,
     init_impacts,
@@ -105,8 +104,9 @@ class SearchConfig:
     """Everything a solve needs besides the problem itself.
 
     mode is "first" (stop at one solution), "count" (count all; restarts are
-    ignored since every run must exhaust the tree), or "decide" (sat/unsat
-    answer only).
+    ignored since every run must exhaust the tree), or "decide". solve
+    treats "decide" exactly as "first" and fills in the solution; only the
+    CLI prints no solution line for it.
     """
 
     heuristic: VOHeuristic = field(default_factory=VOHeuristic)
@@ -155,23 +155,23 @@ def order_values(x: str, d, mode: str, seed: int, index: int = 0) -> list[int]:
 LEAF, EXHAUSTED, CUTOFF = "leaf", "exhausted", "cutoff"
 
 
-def dway_search(ctx: SearchContext, choose, values, leaf, failed) -> str:
-    """Depth-first d-way MAC search from the current state of ctx.d, without recursion.
+def dway_search(state: HeuristicState, choose, values, leaf, failed) -> str:
+    """Depth-first d-way MAC search from the current state of state.d, without recursion.
 
     A node assigns the values of choose()'s variable in the order values(x)
     gives, propagating after each; choose() returning None fails the node.
     Once every variable is assigned, leaf(assignment) says whether to stop.
     After each value whose subtree failed, failed() says whether to cut the
     run off; otherwise the value is refuted (removed and propagated) and the
-    next one is tried. With an impact store in ctx.hstate every assignment
-    records its observed impact.
+    next one is tried. With an impact store in state.impacts every
+    assignment records its observed impact.
 
-    Returns LEAF, EXHAUSTED or CUTOFF, and leaves ctx.d and ctx.hstate.assigned
+    Returns LEAF, EXHAUSTED or CUTOFF, and leaves state.d and state.assigned
     as it found them. Raises TimeoutError when a node or a propagation's queue
-    selection would start past ctx.deadline.
+    selection would start past state.deadline.
     """
-    d, hstate, stats = ctx.d, ctx.hstate, ctx.stats
-    problem, impacts = hstate.problem, hstate.impacts
+    d, stats, assigned = state.d, state.stats, state.assigned
+    problem, impacts = state.problem, state.impacts
     root = d.mark()
     assignment: dict[str, int] = {}
     stack: list[list] = []  # per open node: [x, untried values, value, mark]
@@ -180,7 +180,7 @@ def dway_search(ctx: SearchContext, choose, values, leaf, failed) -> str:
         while True:
             if descend:
                 x = None
-                if len(hstate.assigned) < len(problem.variables):
+                if len(assigned) < len(problem.variables):
                     x = choose()
                 elif leaf(assignment):
                     return LEAF
@@ -192,13 +192,13 @@ def dway_search(ctx: SearchContext, choose, values, leaf, failed) -> str:
                 if not stack:
                     return EXHAUSTED
                 x, _, a, node = stack[-1]
-                hstate.assigned.discard(x)
+                assigned.discard(x)
                 del assignment[x]
                 d.restore(node)
                 if failed():
                     return CUTOFF
                 d.remove(x, a)
-                if d.size(x) == 0 or not ctx.propagate_from(x, 1):
+                if d.size(x) == 0 or not state.propagate_from(x, 1):
                     stack.pop()
                     continue
             frame = stack[-1]
@@ -208,27 +208,27 @@ def dway_search(ctx: SearchContext, choose, values, leaf, failed) -> str:
                 stack.pop()
                 descend = False
                 continue
-            if time.monotonic() >= ctx.deadline:
+            if time.monotonic() >= state.deadline:
                 raise TimeoutError
             stats.nodes += 1
             frame[2:] = a, d.mark()
             removed = d.assign(x, a)
-            hstate.assigned.add(x)
+            assigned.add(x)
             assignment[x] = a
             if impacts is not None:
-                p_before = space_product(problem, d, hstate.assigned)
-            descend = ctx.propagate_from(x, removed)
+                p_before = space_product(problem, d, assigned)
+            descend = state.propagate_from(x, removed)
             if impacts is not None:
-                p_after = space_product(problem, d, hstate.assigned) if descend else 0
+                p_after = space_product(problem, d, assigned) if descend else 0
                 observe_impact(impacts, x, a, p_before, p_after)
     finally:
         for frame in stack:
-            hstate.assigned.discard(frame[0])
+            assigned.discard(frame[0])
         d.restore(root)
 
 
-def random_probe(ctx: SearchContext, cfg: ProbeConfig, seed: int) -> tuple[str, dict | None] | None:
-    """Run short randomized probes to warm up the conflict weights, ctx.hstate.weights.
+def random_probe(state: HeuristicState, cfg: ProbeConfig, seed: int) -> tuple[str, dict | None] | None:
+    """Run short randomized probes to warm up the conflict weights, state.weights.
 
     Each probe is a run of dway_search with variable selection and value
     order drawn uniformly by one RNG seeded with seed (solve passes the run's
@@ -239,14 +239,14 @@ def random_probe(ctx: SearchContext, cfg: ProbeConfig, seed: int) -> tuple[str, 
     deadline before each node, so a passed one raises TimeoutError.
     """
     rng = random.Random(seed)
-    hstate, stats = ctx.hstate, ctx.stats
+    stats, assigned = state.stats, state.assigned
     solution: dict[str, int] = {}
 
     def choose() -> str:
-        return rng.choice([x for x in hstate.problem.variables if x not in hstate.assigned])
+        return rng.choice([x for x in state.problem.variables if x not in assigned])
 
     def values(x: str) -> list[int]:
-        order = sorted(ctx.d.current(x))
+        order = sorted(state.d.current(x))
         rng.shuffle(order)
         return order
 
@@ -261,7 +261,7 @@ def random_probe(ctx: SearchContext, cfg: ProbeConfig, seed: int) -> tuple[str, 
         dwos_at_start = stats.dwos
         # records no impacts: solve builds a store only for the impact base,
         # which takes no +probe
-        result = dway_search(ctx, choose, values, leaf, failed)
+        result = dway_search(state, choose, values, leaf, failed)
         if result == LEAF:
             return "sat", solution
         # a wipeout refuting the root's last value gets no failed() call
@@ -286,19 +286,17 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
     outcome keeps the solutions counted so far.
     """
     t0 = time.monotonic()
-    stats = SearchStats()
     heur = cfg.heuristic
     weights = WeightStore(problem, policy=weight_policy_for(heur.base))
     impacts = ImpactStore() if heur.base == "impact" else None
-    hstate = HeuristicState(problem, weights, impacts)
-    d = model.DomainStore(problem)
-    ctx = SearchContext(d, hstate, stats, cfg.scheme, cfg.policy, t0 + cfg.timeout)
+    state = HeuristicState(problem, weights, impacts, cfg.scheme, cfg.policy, t0 + cfg.timeout)
+    d, stats = state.d, state.stats
     solution: dict[str, int] | None = None
     count = 0
 
     def choose() -> str | None:
         # None when a tie-break probe emptied a candidate's domain
-        return select_variable(ctx, heur)
+        return select_variable(state, heur)
 
     def values(x: str) -> list[int]:
         return order_values(x, d, cfg.value_order, cfg.seed, problem.var_index[x])
@@ -315,13 +313,12 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
 
     def run() -> str:
         nonlocal solution
-        queue = initial_queue(problem, cfg.scheme)
-        if not propagate(d, cfg.policy, queue, hstate, stats, deadline=ctx.deadline).consistent:
+        if not propagate(state, initial_queue(problem, cfg.scheme)).consistent:
             return "unsat"
-        if heur.base == "impact" and not init_impacts(ctx):
+        if heur.base == "impact" and not init_impacts(state):
             return "unsat"
         if heur.probing is not None:
-            definitive = random_probe(ctx, heur.probing, cfg.seed)
+            definitive = random_probe(state, heur.probing, cfg.seed)
             if definitive is not None:
                 verdict, probe_solution = definitive
                 if verdict == "unsat":
@@ -342,7 +339,7 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
         while True:  # stats.restarts numbers the runs
             cutoff = next_cutoff(restarts, stats.restarts)
             left = math.inf if cutoff is None else cutoff
-            result = dway_search(ctx, choose, values, leaf, failed)
+            result = dway_search(state, choose, values, leaf, failed)
             if result != CUTOFF:
                 break
             stats.restarts += 1

@@ -22,7 +22,6 @@ from macsolver.harness import (
 from macsolver.heuristics import (
     HeuristicState,
     ImpactStore,
-    SearchContext,
     VOHeuristic,
     WeightStore,
     init_impacts,
@@ -31,7 +30,7 @@ from macsolver.heuristics import (
     variable_impact,
 )
 from macsolver.instances import gen_langford, gen_model_d, gen_model_rb, gen_queens
-from macsolver.model import Constraint, DomainStore, Problem, SearchStats
+from macsolver.model import Constraint, Problem
 from macsolver.propagation import (
     POLICIES_BY_SCHEME,
     RevisionQueue,
@@ -63,11 +62,9 @@ def test_criterion_01_fixpoint_equivalence():
         want = ac_fixpoint(p)
         wipeouts += want is None
         for scheme, policy in ALL_COMBOS:
-            store = DomainStore(p)
-            out = propagate(
-                store, policy, initial_queue(p, scheme),
-                HeuristicState(p, WeightStore(p)), SearchStats(),
-            )
+            state = HeuristicState(p, WeightStore(p), policy=policy)
+            out = propagate(state, initial_queue(p, scheme))
+            store = state.d
             if want is None:
                 assert not out.consistent, (seed, scheme, policy)
             else:
@@ -201,12 +198,11 @@ def test_criterion_04_first_blamed_constraint():
     )
     lexico = [("c12", "x1"), ("c12", "x2"), ("c56", "x5"), ("c56", "x6")]
     for order, blamed, spared in ((lexico, "c12", "c56"), (lexico[::-1], "c56", "c12")):
-        d = DomainStore(p)
         ws = WeightStore(p, "wdeg")
         q = RevisionQueue("arc")
         for elem in order:
             q.add(elem)
-        out = propagate(d, "fifo", q, HeuristicState(p, ws), SearchStats())
+        out = propagate(HeuristicState(p, ws), q)
         assert not out.consistent
         assert ws.snapshot() == {blamed: 2, spared: 1}
     print(
@@ -235,15 +231,15 @@ def test_criterion_06_variance_and_report_shape():
     )
     rows = run_experiment(spec)
     report = dependency_report(rows)
-    keys = {(instance, heur) for instance, heur, _ in report}
+    keys = {tuple(key) for *key, _ in report}
     assert keys == {
-        ("queens-5", "dom"),
-        ("queens-5", "dom/wdeg"),
-        ("langford-2-3", "dom"),
-        ("langford-2-3", "dom/wdeg"),
+        ("queens-5", "variable", "dom", "none", "lex"),
+        ("queens-5", "variable", "dom/wdeg", "none", "lex"),
+        ("langford-2-3", "variable", "dom", "none", "lex"),
+        ("langford-2-3", "variable", "dom/wdeg", "none", "lex"),
     }
     assert len(report) == 4  # exactly one variance per pair
-    assert all(v >= 0.0 for _, _, v in report)
+    assert all(v >= 0.0 for *_, v in report)
     print(
         "criterion 6: PASS (hand variances to 1e-9; three-policy run yields "
         "one variance per instance/heuristic pair)"
@@ -257,10 +253,10 @@ def test_criterion_07_impact_machinery():
     exercised = 0
     for seed in range(12):
         p = gen_model_d(n=6 + seed % 5, d=3 + seed % 6, e=10, t=0.35, seed=seed)
-        d = DomainStore(p)
         store = ImpactStore()
-        hstate = HeuristicState(p, WeightStore(p, "wdeg"), store)
-        ok = init_impacts(SearchContext(d, hstate, SearchStats(), "variable", "fifo"))
+        state = HeuristicState(p, WeightStore(p, "wdeg"), store)
+        d = state.d
+        ok = init_impacts(state)
         if not ok:
             continue
         exercised += 1

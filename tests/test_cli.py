@@ -248,10 +248,10 @@ def test_report_variance(tmp_path, capsys):
     code, out, _ = run(capsys, "report", "variance", str(out_path))
     assert code == 0
     lines = out.strip().splitlines()
-    assert lines[0] == "instance,var_heur,node_variance"
+    assert lines[0] == "instance,scheme,var_heur,restart,value_order,node_variance"
     assert len(lines) == 2
-    assert lines[1].startswith("queens-5,dom,")
-    float(lines[1].split(",")[2])  # parses as a number
+    assert lines[1].startswith("queens-5,variable,dom,none,lex,")
+    float(lines[1].split(",")[5])  # parses as a number
 
 
 def test_report_rejects_a_malformed_csv(tmp_path, capsys):

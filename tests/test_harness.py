@@ -372,9 +372,30 @@ def test_dependency_report():
         rows.append(make_row(instance="queens-5", rev_heur=rev, nodes=nodes))
     report = dependency_report(rows)
     assert len(report) == 2
-    got = {(inst, heur): var for inst, heur, var in report}
+    got = {(inst, heur): var for inst, _, heur, _, _, var in report}
     assert got[("queens-4", "dom")] == pytest.approx(variance([10, 14, 12]))
     assert got[("queens-5", "dom")] == pytest.approx(0.0)
+
+
+def test_dependency_report_keeps_configurations_apart():
+    # rows of another scheme, restart or value order are not more seeds of
+    # the same configuration
+    rows = []
+    for rev, nodes in (("fifo", 10), ("dom", 14), ("v_dom/wdeg", 12)):
+        rows.append(make_row(rev_heur=rev, nodes=nodes))
+        rows.append(make_row(rev_heur=rev, nodes=2 * nodes, restart="geo:10:1.5"))
+        rows.append(make_row(rev_heur=rev, nodes=3 * nodes, value_order="rand"))
+    # v_dom/wdeg does not fit arc, so the arc group lacks a policy
+    rows.append(make_row(scheme="arc", rev_heur="fifo", nodes=500))
+    rows.append(make_row(scheme="arc", rev_heur="dom", nodes=900))
+    def var(*nodes):
+        return pytest.approx(variance(list(nodes)))
+
+    assert dependency_report(rows) == [
+        ("queens-4", "variable", "dom", "none", "lex", var(10, 14, 12)),
+        ("queens-4", "variable", "dom", "geo:10:1.5", "lex", var(20, 28, 24)),
+        ("queens-4", "variable", "dom", "none", "rand", var(30, 42, 36)),
+    ]
 
 
 def test_dependency_report_multi_seed_uses_means():
@@ -388,7 +409,7 @@ def test_dependency_report_multi_seed_uses_means():
     ]
     report = dependency_report(rows)
     assert len(report) == 1
-    assert report[0][2] == pytest.approx(variance([15.0, 15.0, 15.0]))
+    assert report[0][-1] == pytest.approx(variance([15.0, 15.0, 15.0]))
 
 
 def test_dependency_report_skips_incomplete_groups(caplog):
@@ -417,4 +438,4 @@ def test_dependency_report_ignores_avg_and_foreign_policies():
     ]
     report = dependency_report(rows)
     assert len(report) == 1
-    assert report[0][2] == pytest.approx(variance([10, 10, 10]))
+    assert report[0][-1] == pytest.approx(variance([10, 10, 10]))

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -17,7 +18,6 @@ from macsolver.heuristics import (
     HeuristicState,
     ImpactStore,
     ProbeConfig,
-    SearchContext,
     VOHeuristic,
     WeightStore,
     heuristic_name,
@@ -34,7 +34,7 @@ from macsolver.heuristics import (
     weight_policy_for,
 )
 from macsolver.instances import gen_chessboard, gen_langford, gen_model_d, gen_queens
-from macsolver.model import Constraint, DomainStore, Problem, SearchStats
+from macsolver.model import Constraint, DomainStore, Problem
 from macsolver.search import random_probe
 
 
@@ -56,13 +56,8 @@ def star_problem():
     )
 
 
-def fresh_state(problem, policy="wdeg", impacts=None):
-    return HeuristicState(problem, WeightStore(problem, policy), impacts)
-
-
-def context(d, hstate, stats=None, deadline=float("inf")):
-    stats = SearchStats() if stats is None else stats
-    return SearchContext(d, hstate, stats, "variable", "fifo", deadline)
+def fresh_state(problem, policy="wdeg", impacts=None, deadline=math.inf):
+    return HeuristicState(problem, WeightStore(problem, policy), impacts, deadline=deadline)
 
 
 def test_heuristic_validation():
@@ -209,39 +204,36 @@ def test_wdegs_equals_wdeg_of_every_variable(policy, make):
 
 def test_score_variable_bases():
     p = star_problem()
-    d = DomainStore(p)
     hstate = fresh_state(p)
     hstate.weights.weight.update({"c1": 2, "c2": 3})
 
-    assert score_variable(VOHeuristic(base="dom"), "x", d, hstate) == 2
-    assert score_variable(VOHeuristic(base="deg"), "x", d, hstate) == -2
-    assert score_variable(VOHeuristic(base="ddeg"), "x", d, hstate) == -2
-    assert score_variable(VOHeuristic(base="dom+deg"), "x", d, hstate) == (2, -2)
-    assert score_variable(VOHeuristic(base="dom/ddeg"), "x", d, hstate) == 1.0
-    assert score_variable(VOHeuristic(base="wdeg"), "x", d, hstate) == -5
-    assert score_variable(VOHeuristic(base="dom/wdeg"), "x", d, hstate) == 2 / 5
+    assert score_variable(VOHeuristic(base="dom"), "x", hstate) == 2
+    assert score_variable(VOHeuristic(base="deg"), "x", hstate) == -2
+    assert score_variable(VOHeuristic(base="ddeg"), "x", hstate) == -2
+    assert score_variable(VOHeuristic(base="dom+deg"), "x", hstate) == (2, -2)
+    assert score_variable(VOHeuristic(base="dom/ddeg"), "x", hstate) == 1.0
+    assert score_variable(VOHeuristic(base="wdeg"), "x", hstate) == -5
+    assert score_variable(VOHeuristic(base="dom/wdeg"), "x", hstate) == 2 / 5
     # alldel / fully share the ratio formula, only the update policy differs
-    assert score_variable(VOHeuristic(base="alldel"), "x", d, hstate) == 2 / 5
-    assert score_variable(VOHeuristic(base="fully"), "x", d, hstate) == 2 / 5
+    assert score_variable(VOHeuristic(base="alldel"), "x", hstate) == 2 / 5
+    assert score_variable(VOHeuristic(base="fully"), "x", hstate) == 2 / 5
 
 
 def test_score_variable_ratio_fallback():
     p = star_problem()
-    d = DomainStore(p)
     hstate = fresh_state(p)
     hstate.assigned.update({"x2", "x3"})  # nothing qualifies for x any more
-    assert score_variable(VOHeuristic(base="wdeg"), "x", d, hstate) == 2.0
-    assert score_variable(VOHeuristic(base="dom/wdeg"), "x", d, hstate) == 2.0
-    assert score_variable(VOHeuristic(base="dom/ddeg"), "x", d, hstate) == 2.0
+    assert score_variable(VOHeuristic(base="wdeg"), "x", hstate) == 2.0
+    assert score_variable(VOHeuristic(base="dom/wdeg"), "x", hstate) == 2.0
+    assert score_variable(VOHeuristic(base="dom/ddeg"), "x", hstate) == 2.0
 
 
 def test_mdvo_score():
     p = star_problem()
-    d = DomainStore(p)
     hstate = fresh_state(p)
     # alpha = |D|/|neighbors|: alpha(x)=1, alpha(x2)=3, alpha(x3)=4
     h = VOHeuristic(base="mdvo")
-    assert score_variable(h, "x", d, hstate) == pytest.approx(9 / 4)
+    assert score_variable(h, "x", hstate) == pytest.approx(9 / 4)
     # isolated variable: falls back to |D|
     q = Problem(
         name="iso",
@@ -250,7 +242,7 @@ def test_mdvo_score():
         constraints=(pred("c", ("a", "b"), "ne"),),
     )
     h = VOHeuristic(base="mdvo")
-    assert score_variable(h, "s", DomainStore(q), fresh_state(q)) == 2.0
+    assert score_variable(h, "s", fresh_state(q)) == 2.0
 
 
 MDVO_RUN = """
@@ -285,14 +277,13 @@ def test_select_variable_lexico_tie():
         domains={"t1": (0, 1), "t2": (0, 1), "y": (0, 1, 2)},
         constraints=(pred("c1", ("t1", "y"), "ne"), pred("c2", ("t2", "y"), "ne")),
     )
-    d = DomainStore(p)
     hstate = fresh_state(p)
-    assert select_variable(context(d, hstate), VOHeuristic(base="dom")) == "t1"
+    assert select_variable(hstate, VOHeuristic(base="dom")) == "t1"
     hstate.assigned.add("t1")
-    assert select_variable(context(d, hstate), VOHeuristic(base="dom")) == "t2"
+    assert select_variable(hstate, VOHeuristic(base="dom")) == "t2"
     hstate.assigned.update({"t2", "y"})
     with pytest.raises(ValueError):
-        select_variable(context(d, hstate), VOHeuristic(base="dom"))
+        select_variable(hstate, VOHeuristic(base="dom"))
 
 
 def tiebreak_problem():
@@ -308,21 +299,19 @@ def tiebreak_problem():
 
 def test_rsc_tiebreak_prefers_larger_reduction():
     p = tiebreak_problem()
-    d = DomainStore(p)
     hstate = fresh_state(p)
-    s = SearchStats()
+    s = hstate.stats
     h = VOHeuristic(base="dom", tiebreak="rsc")
-    assert select_variable(context(d, hstate, s), h) == "t2"
+    assert select_variable(hstate, h) == "t2"
     assert s.checks > 0  # probes are counted against the run
 
 
 def test_node_impact_tiebreak_prefers_larger_impact():
     p = tiebreak_problem()
-    d = DomainStore(p)
     store = ImpactStore()
     hstate = fresh_state(p, impacts=store)
     h = VOHeuristic(base="dom", tiebreak="nodeimpact")
-    assert select_variable(context(d, hstate, SearchStats()), h) == "t2"
+    assert select_variable(hstate, h) == "t2"
     # probes were recorded as observations
     assert store.known("t1", 0) and store.known("t2", 1)
 
@@ -341,10 +330,10 @@ def test_tiebreak_probes_prune_wiped_values():
             pred("c3", ("y", "z"), "ne"),
         ),
     )
-    d = DomainStore(p)
     hstate = fresh_state(p)
+    d = hstate.d
     h = VOHeuristic(base="dom", tiebreak="rsc")
-    picked = select_variable(context(d, hstate, SearchStats()), h)
+    picked = select_variable(hstate, h)
     assert picked == "t1"  # largest total reduction (its bad value wiped a lot)
     assert not d.contains("t1", 1)  # the failed probe value is gone for real
     assert d.contains("t1", 0)
@@ -364,21 +353,19 @@ def test_tiebreak_reports_wipeout_with_none():
         ),
     )
     for tiebreak in ("rsc", "nodeimpact"):
-        dd = DomainStore(p)
-        st = fresh_state(p, impacts=ImpactStore())
+        hstate = fresh_state(p, impacts=ImpactStore())
         h = VOHeuristic(base="dom", tiebreak=tiebreak)
-        assert select_variable(context(dd, st, SearchStats()), h) is None
-        assert dd.size("t1") == 0
+        assert select_variable(hstate, h) is None
+        assert hstate.d.size("t1") == 0
 
 
 def test_single_candidate_skips_probing():
     p = star_problem()
-    d = DomainStore(p)
     hstate = fresh_state(p)
-    s = SearchStats()
+    s = hstate.stats
     h = VOHeuristic(base="dom", tiebreak="rsc")
     # x is the unique argmin; no probe should run
-    assert select_variable(context(d, hstate, s), h) == "x"
+    assert select_variable(hstate, h) == "x"
     assert s.checks == 0
 
 
@@ -433,10 +420,10 @@ def test_partition_parts_sizes():
 
 def test_init_impacts_consistent():
     p = gen_model_d(n=6, d=5, e=9, t=0.3, seed=4)
-    d = DomainStore(p)
     store = ImpactStore()
     hstate = fresh_state(p, impacts=store)
-    ok = init_impacts(context(d, hstate, SearchStats()))
+    d = hstate.d
+    ok = init_impacts(hstate)
     assert ok
     for x in p.variables:
         for a in d.current(x):
@@ -456,18 +443,16 @@ def test_init_impacts_detects_inconsistency():
         domains={"x": (0, 1), "y": (0, 1)},
         constraints=(pred("c1", ("x", "y"), "eq"), pred("c2", ("x", "y"), "ne")),
     )
-    d = DomainStore(p)
     store = ImpactStore()
     hstate = fresh_state(p, impacts=store)
-    assert init_impacts(context(d, hstate, SearchStats())) is False
+    assert init_impacts(hstate) is False
 
 
 def test_init_impacts_never_touches_weights():
     p = gen_model_d(n=6, d=4, e=9, t=0.5, seed=11)
-    d = DomainStore(p)
     hstate = fresh_state(p, impacts=ImpactStore())
     before = hstate.weights.snapshot()
-    init_impacts(context(d, hstate, SearchStats()))
+    init_impacts(hstate)
     assert hstate.weights.snapshot() == before
 
 
@@ -479,29 +464,24 @@ def test_weights_never_decrease():
         prev = ws.snapshot()
         from macsolver.propagation import initial_queue, propagate, update_queue
 
-        d = DomainStore(p)
-        propagate(d, "fifo", initial_queue(p, "variable"), hstate, SearchStats())
+        d = hstate.d
+        propagate(hstate, initial_queue(p, "variable"))
         for x in p.variables:
             if d.size(x) > 1:
                 mark = d.mark()
                 removed = d.assign(x, d.current(x)[0])
-                propagate(
-                    d, "fifo", update_queue(p, "variable", x, removed), hstate,
-                    SearchStats(),
-                )
+                propagate(hstate, update_queue(p, "variable", x, removed))
                 d.restore(mark)
                 cur = ws.snapshot()
                 assert all(cur[c] >= prev[c] for c in cur)
                 prev = cur
 
 
-def probe_setup(p, policy="wdeg", failures=40, runs=50):
-    d = DomainStore(p)
+def probe_setup(p, policy="wdeg", failures=40, runs=50, deadline=math.inf):
     ws = WeightStore(p, policy)
-    hstate = HeuristicState(p, ws)
-    s = SearchStats()
+    hstate = HeuristicState(p, ws, deadline=deadline)
     cfg = ProbeConfig(failures=failures, runs=runs)
-    return d, ws, hstate, s, cfg
+    return hstate.d, ws, hstate, hstate.stats, cfg
 
 
 def test_random_probe_deterministic():
@@ -509,7 +489,7 @@ def test_random_probe_deterministic():
     results = []
     for _ in range(2):
         d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
-        definitive = random_probe(context(d, hstate, s), cfg, 3)
+        definitive = random_probe(hstate, cfg, 3)
         results.append((ws.snapshot(), definitive, counters(s)))
     assert results[0] == results[1]
     assert results[0][2][0] > 0  # probe attempts count as nodes
@@ -519,7 +499,7 @@ def test_random_probe_pinned_counters():
     # exact counters: the benchmark never runs random probing
     p = gen_queens(6)
     d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
-    definitive = random_probe(context(d, hstate, s), cfg, 3)
+    definitive = random_probe(hstate, cfg, 3)
     assert definitive == ("sat", {"q0": 3, "q1": 0, "q2": 4, "q3": 1, "q4": 5, "q5": 2})
     assert {c: w for c, w in ws.snapshot().items() if w > 1} == {"c3": 2}
     assert counters(s) == (7, 461, 18, 1)
@@ -529,7 +509,7 @@ def test_random_probe_pinned_cutoffs():
     # every run of an unsat instance ends at the failure cutoff
     p = gen_langford(2, 5)
     d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
-    definitive = random_probe(context(d, hstate, s), cfg, 3)
+    definitive = random_probe(hstate, cfg, 3)
     assert definitive is None
     assert {c: w for c, w in ws.snapshot().items() if w > 1} == {
         "c2": 2, "c3": 2, "c6": 3, "c7": 2, "c12": 2, "c16": 2, "c18": 2,
@@ -544,7 +524,7 @@ def test_random_probe_pinned_cutoffs():
 def test_random_probe_restores_state():
     p = gen_queens(5)
     d, ws, hstate, s, cfg = probe_setup(p, failures=3, runs=4)
-    random_probe(context(d, hstate, s), cfg, 1)
+    random_probe(hstate, cfg, 1)
     assert all(d.size(x) == len(p.domains[x]) for x in p.variables)
     assert hstate.assigned == set()
 
@@ -563,7 +543,7 @@ def test_random_probe_definitive_unsat():
         ),
     )
     d, ws, hstate, s, cfg = probe_setup(p)
-    definitive = random_probe(context(d, hstate, s), cfg, 0)
+    definitive = random_probe(hstate, cfg, 0)
     assert definitive == ("unsat", None)
 
 
@@ -576,7 +556,7 @@ def test_random_probe_definitive_sat():
         constraints=(pred("c", ("x", "y"), "ne"),),
     )
     d, ws, hstate, s, cfg = probe_setup(p)
-    definitive = random_probe(context(d, hstate, s), cfg, 0)
+    definitive = random_probe(hstate, cfg, 0)
     assert definitive is not None
     kind, assignment = definitive
     assert kind == "sat"
@@ -586,7 +566,7 @@ def test_random_probe_definitive_sat():
 def test_random_probe_accumulates_weights():
     p = gen_model_d(n=8, d=3, e=16, t=0.6, seed=21)
     d, ws, hstate, s, cfg = probe_setup(p, failures=5, runs=10)
-    definitive = random_probe(context(d, hstate, s), cfg, 5)
+    definitive = random_probe(hstate, cfg, 5)
     snap = ws.snapshot()
     assert all(w >= 1 for w in snap.values())
     if definitive is None or definitive[0] == "unsat":
@@ -604,42 +584,39 @@ def test_random_probe_reads_no_clock(monkeypatch):
     monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=counting_clock))
     p = gen_langford(2, 5)
     d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
-    assert random_probe(context(d, hstate, s), cfg, 3) is None
+    assert random_probe(hstate, cfg, 3) is None
     assert counters(s) == (31, 12784, 287, 24)
     assert len(reads) == s.nodes
     # a passed deadline still raises before the first probe node
-    d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
+    d, ws, hstate, s, cfg = probe_setup(
+        p, failures=4, runs=6, deadline=time.monotonic() - 1.0
+    )
     with pytest.raises(TimeoutError):
-        random_probe(context(d, hstate, s, deadline=time.monotonic() - 1.0), cfg, 3)
+        random_probe(hstate, cfg, 3)
     assert counters(s) == (0, 0, 0, 0)
 
 
 def test_random_probe_deadline():
     p = gen_queens(8)
-    d, ws, hstate, s, cfg = probe_setup(p)
+    d, ws, hstate, s, cfg = probe_setup(p, deadline=time.monotonic() - 1.0)
     with pytest.raises(TimeoutError):
-        random_probe(context(d, hstate, s, deadline=time.monotonic() - 1.0), cfg, 0)
+        random_probe(hstate, cfg, 0)
 
 
 PROBES = {
-    "init_impacts": lambda p, d, hs, s, dl: init_impacts(context(d, hs, s, dl)),
-    "rsc_tiebreak": lambda p, d, hs, s, dl: rsc_tiebreak(
-        context(d, hs, s, dl), list(p.variables)
-    ),
-    "node_impact_tiebreak": lambda p, d, hs, s, dl: node_impact_tiebreak(
-        context(d, hs, s, dl), list(p.variables)
-    ),
+    "init_impacts": lambda p, hs: init_impacts(hs),
+    "rsc_tiebreak": lambda p, hs: rsc_tiebreak(hs, list(p.variables)),
+    "node_impact_tiebreak": lambda p, hs: node_impact_tiebreak(hs, list(p.variables)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PROBES))
 def test_probes_honour_a_passed_deadline(name):
     p = gen_model_d(n=6, d=5, e=9, t=0.3, seed=4)
-    d = DomainStore(p)
-    hstate = fresh_state(p, impacts=ImpactStore())
-    s = SearchStats()
+    hstate = fresh_state(p, impacts=ImpactStore(), deadline=time.monotonic() - 1.0)
+    s = hstate.stats
     with pytest.raises(TimeoutError):
-        PROBES[name](p, d, hstate, s, time.monotonic() - 1.0)
+        PROBES[name](p, hstate)
     assert counters(s) == (0, 0, 0, 0)
 
 
@@ -652,11 +629,10 @@ def test_probes_restore_state_on_a_timeout_inside_propagation(name, monkeypatch)
     clock = lambda: deadline if next(selections) >= 5 else 0.0  # noqa: E731
     monkeypatch.setattr(propagation, "time", types.SimpleNamespace(monotonic=clock))
     p = gen_model_d(n=6, d=5, e=9, t=0.3, seed=4)
-    d = DomainStore(p)
-    hstate = fresh_state(p, impacts=ImpactStore())
-    s = SearchStats()
+    hstate = fresh_state(p, impacts=ImpactStore(), deadline=deadline)
+    d, s = hstate.d, hstate.stats
     with pytest.raises(TimeoutError):
-        PROBES[name](p, d, hstate, s, deadline)
+        PROBES[name](p, hstate)
     assert s.revisions == 5
     assert not hstate.assigned
     assert all(d.size(x) == len(p.domains[x]) for x in p.variables)

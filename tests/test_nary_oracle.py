@@ -9,7 +9,7 @@ import pytest
 from nary import TABLE_SHAPES, gen_nary
 from oracle import ac_fixpoint, count_solutions
 from macsolver.heuristics import HeuristicState, WeightStore, parse_heuristic
-from macsolver.model import PREDICATES, DomainStore, Problem, SearchStats
+from macsolver.model import PREDICATES, Problem
 from macsolver.propagation import POLICIES_BY_SCHEME, initial_queue, propagate, update_queue
 from macsolver.search import GeometricRestarts, SearchConfig, solve
 
@@ -24,9 +24,9 @@ INSTANCES = [gen_nary(seed) for seed in SEEDS]
 COUNTS = [count_solutions(p) for p in INSTANCES]
 
 
-def unit_state(problem):
+def unit_state(problem, policy):
     # unit weights and nothing assigned, as at the start of a solve
-    return HeuristicState(problem, WeightStore(problem))
+    return HeuristicState(problem, WeightStore(problem), policy=policy)
 
 
 def current(d, problem):
@@ -56,8 +56,9 @@ def test_generator_covers_every_constraint_kind():
 def test_nary_fixpoints_match_oracle(scheme, policy):
     for p in INSTANCES:
         want = ac_fixpoint(p)
-        d = DomainStore(p)
-        out = propagate(d, policy, initial_queue(p, scheme), unit_state(p), SearchStats())
+        state = unit_state(p, policy)
+        d = state.d
+        out = propagate(state, initial_queue(p, scheme))
         assert out.consistent == (want is not None), p.name
         if want is None:
             continue
@@ -69,7 +70,7 @@ def test_nary_fixpoints_match_oracle(scheme, policy):
         for a in sorted(want[x]):
             mark = d.mark()
             queue = update_queue(p, scheme, x, d.assign(x, a))
-            out = propagate(d, policy, queue, unit_state(p), SearchStats())
+            out = propagate(state, queue)
             step = ac_fixpoint(restricted(p, want, x, a))
             assert out.consistent == (step is not None), (p.name, x, a)
             if step is not None:

@@ -42,27 +42,29 @@ def chain_problem():
     )
 
 
-def unit_state(problem):
+def unit_state(problem, **setting):
     # unit weights and nothing assigned, as at the start of a solve
-    return HeuristicState(problem, WeightStore(problem))
+    return HeuristicState(problem, WeightStore(problem), **setting)
 
 
-def run_to_fixpoint(problem, scheme, policy, stats=None):
-    d = DomainStore(problem)
-    out = propagate(
-        d, policy, initial_queue(problem, scheme), unit_state(problem),
-        SearchStats() if stats is None else stats,
-    )
-    return d, out
+def run_to_fixpoint(problem, scheme, policy):
+    state = unit_state(problem, policy=policy)
+    return state, propagate(state, initial_queue(problem, scheme))
+
+
+def scope_read(d, c):
+    # what a caller of revise passes as live: every scope domain, read once
+    return [d.current(y) for y in c.scope]
 
 
 def test_revise_removes_unsupported():
     p = chain_problem()
     d = DomainStore(p)
     s = SearchStats()
-    assert revise(d, p.by_id["cxy"], "x", s) == 1  # x=3 has no y above it
+    c = p.by_id["cxy"]
+    assert revise(d, c, "x", s, scope_read(d, c)) == 1  # x=3 has no y above it
     assert sorted(d.current("x")) == [1, 2]
-    assert revise(d, p.by_id["cxy"], "x", s) == 0  # already supported
+    assert revise(d, c, "x", s, scope_read(d, c)) == 0  # already supported
 
 
 @pytest.mark.parametrize("size", [1, 3, 7])
@@ -99,22 +101,23 @@ def test_revise_reads_each_domain_once(monkeypatch, size):
         for x in c.scope:  # x at every scope position, 0 and 1 included
             d = DomainStore(p)
             reads.clear()
-            revise(d, c, x, SearchStats())
+            # the caller's read is the only one: revise reads no domain
+            revise(d, c, x, SearchStats(), scope_read(d, c))
             assert reads == {y: 1 for y in c.scope}, (p.name, x)
 
 
 @pytest.mark.parametrize("scheme,policy", ALL_COMBOS)
 def test_chain_fixpoint_all_combos(scheme, policy):
-    d, out = run_to_fixpoint(chain_problem(), scheme, policy)
+    state, out = run_to_fixpoint(chain_problem(), scheme, policy)
     assert out.consistent
-    assert d.current("x") == [1]
-    assert d.current("y") == [2]
-    assert d.current("z") == [3]
+    assert state.d.current("x") == [1]
+    assert state.d.current("y") == [2]
+    assert state.d.current("z") == [3]
 
 
 def test_propagate_counts_revisions_and_dwos():
-    s = SearchStats()
-    d, out = run_to_fixpoint(chain_problem(), "arc", "fifo", stats=s)
+    state, out = run_to_fixpoint(chain_problem(), "arc", "fifo")
+    s = state.stats
     assert out.consistent
     assert s.revisions > 0
     assert s.checks > 0
@@ -123,8 +126,8 @@ def test_propagate_counts_revisions_and_dwos():
 
 def test_propagate_idempotent():
     p = chain_problem()
-    d, out = run_to_fixpoint(p, "variable", "fifo")
-    again = propagate(d, "fifo", initial_queue(p, "variable"), unit_state(p), SearchStats())
+    state, out = run_to_fixpoint(p, "variable", "fifo")
+    again = propagate(state, initial_queue(p, "variable"))
     assert again.consistent
     assert again.removed == 0
     assert again.fruitful == frozenset()
@@ -138,8 +141,8 @@ def test_wipeout_outcome_fields():
         domains={"x": (0, 1), "y": (0, 1)},
         constraints=(pred("c1", ("x", "y"), "lt"), pred("c2", ("x", "y"), "gt")),
     )
-    s = SearchStats()
-    d, out = run_to_fixpoint(p, "arc", "fifo", stats=s)
+    state, out = run_to_fixpoint(p, "arc", "fifo")
+    s, d = state.stats, state.d
     assert not out.consistent
     assert out.dwo_constraint in ("c1", "c2")
     assert out.dwo_variable in ("x", "y")
@@ -278,8 +281,8 @@ def test_propagate_reads_each_scope_domain_once_per_constraint(monkeypatch, sche
     monkeypatch.setattr(propagation, "needs_not_be_revised", counted_needs)
     monkeypatch.setattr(propagation, "revise", counted_revise)
     monkeypatch.setattr(propagation, "select_next", counted_select)
-    d = DomainStore(p)
-    hstate = unit_state(p)
+    hstate = unit_state(p, policy=policy)
+    d = hstate.d
     # three corners of the first square set to one color leave the fourth
     # corner one value, and that removal propagates further
     for x in ("s0_0", "s0_1", "s1_0"):
@@ -289,7 +292,7 @@ def test_propagate_reads_each_scope_domain_once_per_constraint(monkeypatch, sche
             del log[:]
         monkeypatch.setattr(DomainStore, "current", counted_current)
         monkeypatch.setattr(RevisionQueue, "ctr_of", counted_ctr_of)
-        out = propagate(d, policy, update_queue(p, scheme, x, removed), hstate, SearchStats())
+        out = propagate(hstate, update_queue(p, scheme, x, removed))
         monkeypatch.setattr(DomainStore, "current", current)
         monkeypatch.setattr(RevisionQueue, "ctr_of", ctr_of)
         assert out.consistent, x
@@ -315,9 +318,8 @@ def test_propagate_builds_the_key_once_per_call(monkeypatch, scheme, policy, mak
         return build(*args)
 
     monkeypatch.setitem(SCORE_BUILDERS[scheme], policy, counted)
-    stats = SearchStats()
-    run_to_fixpoint(make(), scheme, policy, stats)
-    assert stats.revisions > 1
+    state, _ = run_to_fixpoint(make(), scheme, policy)
+    assert state.stats.revisions > 1
     assert len(built) == 1
 
 
@@ -380,9 +382,8 @@ def test_validate_policy():
 
 def test_propagate_rejects_mismatched_queue():
     p = chain_problem()
-    d = DomainStore(p)
     with pytest.raises(ValueError):
-        propagate(d, "a_wdeg", initial_queue(p, "variable"), unit_state(p), SearchStats())
+        propagate(unit_state(p, policy="a_wdeg"), initial_queue(p, "variable"))
 
 
 class DictWeights:
@@ -565,13 +566,11 @@ def test_first_revised_constraint_takes_the_blame():
         ([("c12", "x1"), ("c12", "x2"), ("c56", "x5"), ("c56", "x6")], "c12", "c56"),
         ([("c56", "x6"), ("c56", "x5"), ("c12", "x2"), ("c12", "x1")], "c56", "c12"),
     ):
-        d = DomainStore(p)
         ws = WeightStore(p, "wdeg")
-        hstate = HeuristicState(p, ws)
         q = RevisionQueue("arc")
         for elem in order:
             q.add(elem)
-        out = propagate(d, "fifo", q, hstate, SearchStats())
+        out = propagate(HeuristicState(p, ws), q)
         assert not out.consistent
         assert out.dwo_constraint == blamed
         assert ws.get(blamed) == 2
@@ -580,12 +579,8 @@ def test_first_revised_constraint_takes_the_blame():
 
 def test_update_weights_false_freezes_store():
     p = example1_problem()
-    d = DomainStore(p)
     ws = WeightStore(p, "wdeg")
-    hstate = HeuristicState(p, ws)
-    out = propagate(
-        d, "fifo", initial_queue(p, "arc"), hstate, SearchStats(), update_weights=False
-    )
+    out = propagate(HeuristicState(p, ws), initial_queue(p, "arc"), update_weights=False)
     assert not out.consistent
     assert ws.snapshot() == {"c12": 1, "c56": 1}
 
@@ -605,9 +600,9 @@ def test_nary_constraint_propagation():
         constraints=(c,),
     )
     for scheme, policy in ALL_COMBOS:
-        d, out = run_to_fixpoint(p, scheme, policy)
+        state, out = run_to_fixpoint(p, scheme, policy)
         assert out.consistent, (scheme, policy)
-        assert d.current("z") == [6], (scheme, policy)
+        assert state.d.current("z") == [6], (scheme, policy)
 
 
 @pytest.mark.parametrize("scheme,policy", ALL_COMBOS)
@@ -617,21 +612,21 @@ def test_fixpoint_matches_reference(scheme, policy):
         e = min(n * (n - 1) // 2, n + seed % 5)
         p = gen_model_d(n=n, d=d_size, e=e, t=0.45, seed=seed)
         want = ac_fixpoint(p)
-        store = DomainStore(p)
-        out = propagate(store, policy, initial_queue(p, scheme), unit_state(p), SearchStats())
+        state, out = run_to_fixpoint(p, scheme, policy)
         if want is None:
             assert not out.consistent, seed
         else:
             assert out.consistent, seed
-            got = {x: set(store.current(x)) for x in p.variables}
+            got = {x: set(state.d.current(x)) for x in p.variables}
             assert got == {k: set(v) for k, v in want.items()}, seed
 
 
 def test_removed_totals_match_domain_shrinkage():
     p = gen_model_d(n=8, d=5, e=12, t=0.5, seed=3)
-    d = DomainStore(p)
+    state = unit_state(p)
+    d = state.d
     before = sum(d.size(x) for x in p.variables)
-    out = propagate(d, "fifo", initial_queue(p, "variable"), unit_state(p), SearchStats())
+    out = propagate(state, initial_queue(p, "variable"))
     after = sum(d.size(x) for x in p.variables)
     if out.consistent:
         assert before - after == out.removed
@@ -640,12 +635,10 @@ def test_removed_totals_match_domain_shrinkage():
 @pytest.mark.parametrize("scheme, policy", ALL_COMBOS)
 def test_passed_deadline_stops_before_the_first_revision(scheme, policy):
     p = gen_model_d(n=8, d=4, e=14, t=0.3, seed=1)
-    s = SearchStats()
+    state = unit_state(p, policy=policy, deadline=time.monotonic() - 1.0)
     with pytest.raises(TimeoutError):
-        propagate(
-            DomainStore(p), policy, initial_queue(p, scheme), unit_state(p), s,
-            deadline=time.monotonic() - 1.0,
-        )
+        propagate(state, initial_queue(p, scheme))
+    s = state.stats
     assert (s.checks, s.revisions, s.dwos) == (0, 0, 0)
 
 
@@ -656,8 +649,7 @@ def test_deadline_checked_once_per_selection(scheme, monkeypatch):
         propagation, "time", types.SimpleNamespace(monotonic=lambda: next(ticks))
     )
     p = gen_model_d(n=8, d=4, e=14, t=0.3, seed=1)
-    s = SearchStats()
+    state = unit_state(p, policy=POLICIES_BY_SCHEME[scheme][0], deadline=3)
     with pytest.raises(TimeoutError):
-        propagate(DomainStore(p), POLICIES_BY_SCHEME[scheme][0],
-                  initial_queue(p, scheme), unit_state(p), s, deadline=3)
-    assert s.revisions == 3
+        propagate(state, initial_queue(p, scheme))
+    assert state.stats.revisions == 3

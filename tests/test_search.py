@@ -372,7 +372,7 @@ def test_pinned_counters_impact_nodeimpact_count():
 
 # (result, count, nodes, checks, revisions, dwos, restarts) of langford:k=2,n=4,
 # arc/a_dom/wdeg, count, for the heuristics that run lookahead probes. The
-# weighted revision order reads hstate.assigned, so these also pin which
+# weighted revision order reads state.assigned, so these also pin which
 # variable is marked assigned while a probe propagates.
 PINNED_LOOKAHEAD_COUNTERS = {
     "impact+rsc": ("sat", 2, 20, 12727, 4289, 8, 0),
