@@ -60,8 +60,12 @@ COLUMNS = tuple(_PARSERS)
 # the columns a run's SearchStats fills in; a seed group's row averages them
 _MEASURED = ("time_ms", "nodes", "checks", "revisions", "dwos")
 
-# revision policies whose node counts feed the ordering-dependence report
-DEPENDENCY_POLICIES = ("fifo", "dom", "v_dom/wdeg")
+# scheme -> the revision policies whose node counts feed its
+# ordering-dependence report; the constraint scheme has one policy only
+DEPENDENCY_POLICIES = {
+    "variable": ("fifo", "dom", "v_dom/wdeg"),
+    "arc": ("fifo", "dom", "a_dom/wdeg"),
+}
 # the report's group key: every configuration column except the revision
 # policy, which varies inside a group, and the seed, averaged over
 REPORT_KEY = ("instance", "scheme", "var_heur", "restart", "value_order")
@@ -89,6 +93,11 @@ class ResultRow:
         return [getattr(self, col) for col in COLUMNS]
 
 
+# experiment field -> the parser of its entries, where spellings differ: two
+# entries are one when they parse to equal values
+_ENTRY_PARSERS = {"var_heurs": parse_heuristic, "restarts": parse_restarts}
+
+
 @dataclass
 class ExperimentSpec:
     """A sweep: instance sources crossed with configuration lists."""
@@ -109,9 +118,13 @@ class ExperimentSpec:
             values = getattr(self, f.name)
             if not values:
                 raise ValueError(f"experiment field {f.name!r} must not be empty")
-            if len(set(values)) < len(values):
-                repeated = next(v for v in values if values.count(v) > 1)
-                raise ValueError(f"repeated entry {repeated!r} in experiment field {f.name!r}")
+            parse = _ENTRY_PARSERS.get(f.name, lambda v: v)
+            first: dict = {}  # parsed entry -> index of its first spelling
+            for i, v in enumerate(values):
+                j = first.setdefault(parse(v), i)
+                if j != i:
+                    both = repr(v) if values[j] == v else f"{values[j]!r} / {v!r}"
+                    raise ValueError(f"repeated entry {both} in experiment field {f.name!r}")
         for scheme in self.schemes:
             if scheme not in POLICIES_BY_SCHEME:
                 raise ValueError(f"unknown propagation scheme {scheme!r}")
@@ -158,8 +171,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     """Run the full cross product and return rows in deterministic order.
 
     Every configuration is built and every instance loaded before the first
-    run, so a bad heuristic or restart name or an unreadable instance fails
-    the sweep before anything is solved. Scheme/policy
+    run, so a bad heuristic or restart name, an unreadable instance or two
+    instance sources that build problems of one name (their rows could not
+    be told apart) fail the sweep before anything is solved. Scheme/policy
     pairs that do not fit are skipped with a warning. Random value-order
     configs get one row per seed plus an averaged row. A seed changes a run
     only through random value order or +probe, so a config with neither is
@@ -182,6 +196,11 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             )
             plan.append((var_heur, restart, [replace(base, seed=seed) for seed in spec.seeds]))
     problems = [load_instance(source) for source in spec.instances]
+    source_of: dict[str, str] = {}
+    for source, problem in zip(spec.instances, problems):
+        other = source_of.setdefault(problem.name, source)
+        if other != source:
+            raise ValueError(f"instances {other!r} and {source!r} both build {problem.name!r}")
     rows: list[ResultRow] = []
     for problem in problems:
         for var_heur, restart, cfgs in plan:
@@ -294,27 +313,28 @@ def dependency_report(rows: list[ResultRow]) -> list[tuple]:
     """Node-count variance per group of rows that differ only in policy and seed.
 
     A group is one value of the REPORT_KEY columns. For each group, takes one
-    node count per revision policy in DEPENDENCY_POLICIES (the per-policy
-    mean when several seeds are present) and reports the population variance
-    across the three, as the group's REPORT_KEY values followed by the
-    variance. Groups missing a policy are skipped with a warning.
+    node count per revision policy its scheme has in DEPENDENCY_POLICIES (the
+    per-policy mean when several seeds are present) and reports the
+    population variance across the three, as the group's REPORT_KEY values
+    followed by the variance. Groups missing a policy, and groups of a scheme
+    without dependency policies, are skipped with a warning.
     """
     by_group: dict[tuple, dict[str, list[float]]] = {}
     for row in rows:
-        if row.seed == "avg" or row.rev_heur not in DEPENDENCY_POLICIES:
-            continue
-        cell = by_group.setdefault(tuple(getattr(row, col) for col in REPORT_KEY), {})
-        cell.setdefault(row.rev_heur, []).append(float(row.nodes))
+        if row.seed != "avg":
+            cell = by_group.setdefault(tuple(getattr(row, col) for col in REPORT_KEY), {})
+            cell.setdefault(row.rev_heur, []).append(float(row.nodes))
     report = []
     for key, cell in by_group.items():
-        missing = [p for p in DEPENDENCY_POLICIES if p not in cell]
-        if missing:
-            log.warning(
-                "dependency report: %s missing %s, skipped",
-                " / ".join(key),
-                ", ".join(missing),
-            )
+        label = " / ".join(key)
+        policies = DEPENDENCY_POLICIES.get(key[REPORT_KEY.index("scheme")])
+        if policies is None:
+            log.warning("dependency report: %s has no dependency policies, skipped", label)
             continue
-        points = [statistics.fmean(cell[p]) for p in DEPENDENCY_POLICIES]
+        missing = [p for p in policies if p not in cell]
+        if missing:
+            log.warning("dependency report: %s missing %s, skipped", label, ", ".join(missing))
+            continue
+        points = [statistics.fmean(cell[p]) for p in policies]
         report.append((*key, variance(points)))
     return report

@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass
 
 from .model import DomainStore, Problem, SearchStats
-from .propagation import dom_ratio, propagate, update_queue
+from .propagation import dom_ratio, propagate, update_queue, validate_policy
 
 
 def _wdeg_score(w: int, dom: int):
@@ -170,9 +170,10 @@ class HeuristicState:
     """The state of one solve, shared by search, its probes and propagation.
 
     It owns the problem's domains and the run's counters, and holds the
-    conflict weights, the impact store (or None), the assigned set and the
-    propagation setting: the scheme of the queues propagate_from builds, the
-    revision policy and the deadline.
+    conflict weights, the impact store (or None), the assignment (variable
+    to value) and the propagation setting: the scheme of every queue built
+    from it, the revision policy and the deadline. A policy that does not fit
+    the scheme raises ValueError here, so propagate need not check it.
     """
 
     def __init__(
@@ -184,6 +185,7 @@ class HeuristicState:
         policy: str = "fifo",
         deadline: float = math.inf,
     ):
+        validate_policy(scheme, policy)
         self.problem = problem
         self.weights = weights
         self.impacts = impacts
@@ -192,7 +194,7 @@ class HeuristicState:
         self.deadline = deadline
         self.d = DomainStore(problem)
         self.stats = SearchStats()
-        self.assigned: set[str] = set()
+        self.assigned: dict[str, int] = {}
 
     def qualified(self, c, x: str) -> bool:
         # a constraint counts for x only while it can still propagate somewhere
@@ -233,8 +235,7 @@ class HeuristicState:
         probes). Raises TimeoutError when a queue selection would start past
         the deadline.
         """
-        queue = update_queue(self.problem, self.scheme, x, removed)
-        return propagate(self, queue, update_weights).consistent
+        return propagate(self, update_queue(self, x, removed), update_weights).consistent
 
 
 def score_variable(h: VOHeuristic, x: str, state: HeuristicState):
@@ -327,7 +328,7 @@ def variable_impact(store: ImpactStore, x: str, d: DomainStore) -> float:
     return sum(1.0 - store.averaged(x, a) for a in d.current(x))
 
 
-def space_product(problem: Problem, d: DomainStore, assigned: set[str], exclude: str | None = None) -> int:
+def space_product(problem: Problem, d: DomainStore, assigned, exclude: str | None = None) -> int:
     """Product of current domain sizes over unassigned variables."""
     p = 1
     for y in problem.variables:
@@ -402,7 +403,7 @@ def init_impacts(state: HeuristicState) -> bool:
 
 
 def _probe_scan(state: HeuristicState, candidates: list[str], score) -> str | None:
-    """Probe every live value of each candidate once, the candidate marked assigned.
+    """Probe every live value of each candidate once, assigned to it in state.assigned.
 
     Values that wipe out are pruned from state.d; returns None when a
     candidate's domain empties (the caller must fail the node). Otherwise the
@@ -416,15 +417,15 @@ def _probe_scan(state: HeuristicState, candidates: list[str], score) -> str | No
     for x in candidates:
         wiped = []
         total = 0
-        assigned.add(x)
         try:
             for a in d.current(x):
+                assigned[x] = a
                 ok, p_before, p_after = _lookahead(state, x, (a,))
                 total += score(x, a, p_before, p_after)
                 if not ok:
                     wiped.append(a)
         finally:
-            assigned.discard(x)
+            assigned.pop(x, None)
         for a in wiped:
             d.remove(x, a)
         if d.size(x) == 0:

@@ -97,21 +97,16 @@ class RevisionQueue:
     variable's domain since the constraint was last processed}. A row holds
     only positive entries, so a variable with no pending removals has none.
     Only the variable and constraint schemes keep ctr; arc queues leave it
-    empty.
+    empty. A queue has no scheme of its own: initial_queue and update_queue
+    build it for the scheme of the state that will run it.
     """
 
-    def __init__(self, kind: str):
-        if kind not in SCHEMES:
-            raise ValueError(f"unknown queue kind {kind!r}")
-        self.kind = kind
+    def __init__(self):
         self._pending: dict = {}
         self.ctr: dict[str, dict[str, int]] = {}
 
     def __len__(self) -> int:
         return len(self._pending)
-
-    def __bool__(self) -> bool:
-        return bool(self._pending)
 
     def __contains__(self, elem) -> bool:
         return elem in self._pending
@@ -151,9 +146,10 @@ def needs_not_be_revised(q: RevisionQueue, c: Constraint) -> str | None:
     return next(iter(row)) if len(row) == 1 else None
 
 
-def initial_queue(problem: Problem, scheme: str) -> RevisionQueue:
-    """Preprocessing seeds: every element, and every ctr counter set to 1."""
-    q = RevisionQueue(scheme)
+def initial_queue(state) -> RevisionQueue:
+    """Preprocessing seeds of state.scheme: every element, every ctr counter 1."""
+    problem, scheme = state.problem, state.scheme
+    q = RevisionQueue()
     for c in problem.constraints:
         if scheme == "arc":
             for x in c.scope:
@@ -168,39 +164,39 @@ def initial_queue(problem: Problem, scheme: str) -> RevisionQueue:
     return q
 
 
-def _requeue(problem: Problem, q: RevisionQueue, x: str, removed: int, skip=None) -> None:
+def _requeue(state, q: RevisionQueue, x: str, removed: int, skip=None) -> None:
     """Queue what losing `removed` values of D(x) can make revisable.
 
     Covers every constraint on x except `skip` (the one that removed them):
-    its other arcs, x itself, or the constraint, per the queue kind. Outside
+    its other arcs, x itself, or the constraint, per state.scheme. Outside
     the arc scheme, x's ctr entries on those constraints grow by `removed`.
     """
-    kind = q.kind
-    for c in problem.constraints_on[x]:
+    scheme = state.scheme
+    for c in state.problem.constraints_on[x]:
         if c is skip:
             continue
-        if kind == "arc":
+        if scheme == "arc":
             for z in c.scope:
                 if z != x:
                     q.add((c.id, z))
             continue
-        if kind == "constraint":
+        if scheme == "constraint":
             q.add(c.id)
         q.bump(c.id, x, removed)
-    if kind == "variable":
+    if scheme == "variable":
         q.add(x)
 
 
-def update_queue(problem: Problem, scheme: str, x: str, removed: int) -> RevisionQueue:
-    """Seeds after removing `removed` values from D(x) at a search node.
+def update_queue(state, x: str, removed: int) -> RevisionQueue:
+    """Seeds of state.scheme after removing `removed` values from D(x) at a search node.
 
     Only elements involving x are queued and only x's ctr entries are primed
     (outside the arc scheme), set to the removal count. A zero removal count
     leaves the previous fixpoint intact, so the queue stays empty.
     """
-    q = RevisionQueue(scheme)
+    q = RevisionQueue()
     if removed > 0:
-        _requeue(problem, q, x, removed)
+        _requeue(state, q, x, removed)
     return q
 
 
@@ -237,19 +233,19 @@ def select_next(q: RevisionQueue, key):
 def propagate(state, queue: RevisionQueue, update_weights: bool = True) -> PropagationOutcome:
     """Run the queue to fixpoint or to the first domain wipeout.
 
-    `state` is the solve's state (heuristics.HeuristicState): propagate reads
-    its problem, domains d, counters stats, weights, wdeg, policy and
-    deadline once per call. The scheme is the queue's kind, and the policy
-    must fit it; its key is built once per call, over objects fixed for the
-    call. The revisions counter advances once per queue selection and the
+    `state` is the solve's state (heuristics.HeuristicState), and `queue`
+    was built for its scheme: propagate reads its problem, domains d,
+    counters stats, weights, wdeg, scheme, policy and deadline once per
+    call. The state checked that the policy fits the scheme when it was
+    built; the policy's key is built once per call, over objects fixed for
+    the call. The revisions counter advances once per queue selection and the
     checks counter inside check_tuple. Weight-update events (fruitful
     revisions, DWOs) go to state.weights unless update_weights is False
     (lookahead probing must not touch weights). Raises TimeoutError when a
     selection would start past the deadline.
     """
-    scheme = queue.kind
-    policy = state.policy
-    build = validate_policy(scheme, policy)
+    scheme, policy = state.scheme, state.policy
+    build = SCORE_BUILDERS[scheme][policy]
     problem, d, stats = state.problem, state.d, state.stats
     weights, deadline = state.weights, state.deadline
     key = None if build is None else build(problem, d, weights, state.wdeg)
@@ -270,7 +266,7 @@ def propagate(state, queue: RevisionQueue, update_weights: bool = True) -> Propa
                 weights.on_dwo(c.id, blamed)
             stats.dwos += 1
             return PropagationOutcome(False, c.id, x, total_removed, blamed)
-        _requeue(problem, queue, x, removed, c)
+        _requeue(state, queue, x, removed, c)
         return None
 
     arc = scheme == "arc"

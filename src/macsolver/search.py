@@ -160,10 +160,10 @@ def dway_search(state: HeuristicState, choose, values, leaf, failed) -> str:
 
     A node assigns the values of choose()'s variable in the order values(x)
     gives, propagating after each; choose() returning None fails the node.
-    Once every variable is assigned, leaf(assignment) says whether to stop.
-    After each value whose subtree failed, failed() says whether to cut the
-    run off; otherwise the value is refuted (removed and propagated) and the
-    next one is tried. With an impact store in state.impacts every
+    Once every variable is assigned, leaf(state.assigned) says whether to
+    stop. After each value whose subtree failed, failed() says whether to cut
+    the run off; otherwise the value is refuted (removed and propagated) and
+    the next one is tried. With an impact store in state.impacts every
     assignment records its observed impact.
 
     Returns LEAF, EXHAUSTED or CUTOFF, and leaves state.d and state.assigned
@@ -173,8 +173,7 @@ def dway_search(state: HeuristicState, choose, values, leaf, failed) -> str:
     d, stats, assigned = state.d, state.stats, state.assigned
     problem, impacts = state.problem, state.impacts
     root = d.mark()
-    assignment: dict[str, int] = {}
-    stack: list[list] = []  # per open node: [x, untried values, value, mark]
+    stack: list[list] = []  # per open node: [x, untried values, mark]
     descend = True  # the root, or the last assignment, propagated consistently
     try:
         while True:
@@ -182,18 +181,17 @@ def dway_search(state: HeuristicState, choose, values, leaf, failed) -> str:
                 x = None
                 if len(assigned) < len(problem.variables):
                     x = choose()
-                elif leaf(assignment):
+                elif leaf(assigned):
                     return LEAF
                 if x is not None:
-                    stack.append([x, iter(values(x)), None, None])
+                    stack.append([x, iter(values(x)), None])
                 descend = x is not None
             if not descend:
                 # the subtree under the top node's value failed
                 if not stack:
                     return EXHAUSTED
-                x, _, a, node = stack[-1]
-                assigned.discard(x)
-                del assignment[x]
+                x, _, node = stack[-1]
+                a = assigned.pop(x)
                 d.restore(node)
                 if failed():
                     return CUTOFF
@@ -211,10 +209,9 @@ def dway_search(state: HeuristicState, choose, values, leaf, failed) -> str:
             if time.monotonic() >= state.deadline:
                 raise TimeoutError
             stats.nodes += 1
-            frame[2:] = a, d.mark()
+            frame[2] = d.mark()
             removed = d.assign(x, a)
-            assigned.add(x)
-            assignment[x] = a
+            assigned[x] = a
             if impacts is not None:
                 p_before = space_product(problem, d, assigned)
             descend = state.propagate_from(x, removed)
@@ -223,7 +220,7 @@ def dway_search(state: HeuristicState, choose, values, leaf, failed) -> str:
                 observe_impact(impacts, x, a, p_before, p_after)
     finally:
         for frame in stack:
-            assigned.discard(frame[0])
+            assigned.pop(frame[0], None)
         d.restore(root)
 
 
@@ -313,7 +310,7 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
 
     def run() -> str:
         nonlocal solution
-        if not propagate(state, initial_queue(problem, cfg.scheme)).consistent:
+        if not propagate(state, initial_queue(state)).consistent:
             return "unsat"
         if heur.base == "impact" and not init_impacts(state):
             return "unsat"

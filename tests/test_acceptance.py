@@ -62,8 +62,8 @@ def test_criterion_01_fixpoint_equivalence():
         want = ac_fixpoint(p)
         wipeouts += want is None
         for scheme, policy in ALL_COMBOS:
-            state = HeuristicState(p, WeightStore(p), policy=policy)
-            out = propagate(state, initial_queue(p, scheme))
+            state = HeuristicState(p, WeightStore(p), scheme=scheme, policy=policy)
+            out = propagate(state, initial_queue(state))
             store = state.d
             if want is None:
                 assert not out.consistent, (seed, scheme, policy)
@@ -199,10 +199,10 @@ def test_criterion_04_first_blamed_constraint():
     lexico = [("c12", "x1"), ("c12", "x2"), ("c56", "x5"), ("c56", "x6")]
     for order, blamed, spared in ((lexico, "c12", "c56"), (lexico[::-1], "c56", "c12")):
         ws = WeightStore(p, "wdeg")
-        q = RevisionQueue("arc")
+        q = RevisionQueue()
         for elem in order:
             q.add(elem)
-        out = propagate(HeuristicState(p, ws), q)
+        out = propagate(HeuristicState(p, ws, scheme="arc"), q)
         assert not out.consistent
         assert ws.snapshot() == {blamed: 2, spared: 1}
     print(

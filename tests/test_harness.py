@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import pytest
 
@@ -101,6 +102,35 @@ def test_experiment_spec_rejects_a_repeated_entry(field, values):
     doc = {name: list(value) for name, value in kwargs.items()}
     with pytest.raises(ValueError, match="repeated entry"):
         ExperimentSpec.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "field, values",
+    [
+        ("var_heurs", ("dom/wdeg+rsc+probe", "dom", "dom/wdeg+probe+rsc")),
+        ("restarts", ("geo:10:1.5", "none", "geo:10:1.50")),
+    ],
+)
+def test_experiment_spec_rejects_a_second_spelling_of_one_entry(field, values):
+    # both spellings would run one configuration twice, under two names
+    kwargs = {"instances": ("queens:n=5",), "var_heurs": ("dom",), field: values}
+    first, second = values[0], values[2]
+    message = f"repeated entry '{first}' / '{second}' in experiment field '{field}'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentSpec(**kwargs)
+
+
+def test_run_experiment_rejects_two_sources_of_one_instance(tmp_path, monkeypatch):
+    # their rows would carry one instance name and could not be told apart
+    calls = []
+    monkeypatch.setattr(harness, "solve", lambda *args: calls.append(args))
+    path = tmp_path / "q5.json"
+    path.write_text(dump_problem(gen_queens(5)))
+    for second in ("queens: n = 5", str(path)):
+        spec = ExperimentSpec(instances=("queens:n=5", second), var_heurs=("dom",))
+        with pytest.raises(ValueError, match="both build 'queens-5'"):
+            run_experiment(spec)
+    assert calls == []
 
 
 def test_experiment_spec_from_json():
@@ -385,7 +415,7 @@ def test_dependency_report_keeps_configurations_apart():
         rows.append(make_row(rev_heur=rev, nodes=nodes))
         rows.append(make_row(rev_heur=rev, nodes=2 * nodes, restart="geo:10:1.5"))
         rows.append(make_row(rev_heur=rev, nodes=3 * nodes, value_order="rand"))
-    # v_dom/wdeg does not fit arc, so the arc group lacks a policy
+    # the arc group lacks a_dom/wdeg, one of its scheme's three policies
     rows.append(make_row(scheme="arc", rev_heur="fifo", nodes=500))
     rows.append(make_row(scheme="arc", rev_heur="dom", nodes=900))
     def var(*nodes):
@@ -426,6 +456,26 @@ def test_dependency_report_skips_incomplete_groups(caplog):
     assert len(report) == 1
     assert report[0][0] == "queens-5"
     assert any("missing" in rec.message for rec in caplog.records)
+
+
+def test_dependency_report_reads_each_schemes_policies(caplog):
+    rows = []
+    for rev, nodes in (("fifo", 10), ("dom", 14), ("v_dom/wdeg", 12)):
+        rows.append(make_row(rev_heur=rev, nodes=nodes))
+    for rev, nodes in (("fifo", 6), ("dom", 9), ("a_dom/wdeg", 3), ("a_wdeg", 999)):
+        rows.append(make_row(scheme="arc", rev_heur=rev, nodes=nodes))
+    # the constraint scheme has one policy only: nothing to compare
+    rows.append(make_row(scheme="constraint", rev_heur="c_wcon", nodes=7))
+    with caplog.at_level(logging.WARNING):
+        report = dependency_report(rows)
+    assert report == [
+        ("queens-4", "variable", "dom", "none", "lex", pytest.approx(variance([10, 14, 12]))),
+        ("queens-4", "arc", "dom", "none", "lex", pytest.approx(variance([6, 9, 3]))),
+    ]
+    assert [rec.message for rec in caplog.records] == [
+        "dependency report: queens-4 / constraint / dom / none / lex"
+        " has no dependency policies, skipped"
+    ]
 
 
 def test_dependency_report_ignores_avg_and_foreign_policies():

@@ -175,10 +175,10 @@ def test_qualification_and_wdeg():
     hstate.weights.weight.update({"c1": 2, "c2": 3})
     assert hstate.wdeg("x") == 5
     assert hstate.ddeg("x") == 2
-    hstate.assigned.add("x3")  # c2 can no longer propagate for x
+    hstate.assigned["x3"] = 0  # c2 can no longer propagate for x
     assert hstate.wdeg("x") == 2
     assert hstate.ddeg("x") == 1
-    hstate.assigned.add("x2")
+    hstate.assigned["x2"] = 0
     assert hstate.wdeg("x") == 0
 
 
@@ -196,7 +196,8 @@ def test_wdegs_equals_wdeg_of_every_variable(policy, make):
         for _ in range(3):
             hstate.weights.on_deletion(rng.choice(ids), rng.randint(1, 3))
             hstate.weights.on_dwo(rng.choice(ids), frozenset(rng.sample(ids, 3)))
-        hstate.assigned = set(rng.sample(p.variables, rng.randint(0, len(p.variables))))
+        drawn = rng.sample(p.variables, rng.randint(0, len(p.variables)))
+        hstate.assigned = dict.fromkeys(drawn, 0)
         got = hstate.wdegs()
         assert got == {x: hstate.wdeg(x) for x in p.variables}
     assert len(set(hstate.weights.snapshot().values())) > 1
@@ -222,7 +223,7 @@ def test_score_variable_bases():
 def test_score_variable_ratio_fallback():
     p = star_problem()
     hstate = fresh_state(p)
-    hstate.assigned.update({"x2", "x3"})  # nothing qualifies for x any more
+    hstate.assigned.update(x2=0, x3=0)  # nothing qualifies for x any more
     assert score_variable(VOHeuristic(base="wdeg"), "x", hstate) == 2.0
     assert score_variable(VOHeuristic(base="dom/wdeg"), "x", hstate) == 2.0
     assert score_variable(VOHeuristic(base="dom/ddeg"), "x", hstate) == 2.0
@@ -279,9 +280,9 @@ def test_select_variable_lexico_tie():
     )
     hstate = fresh_state(p)
     assert select_variable(hstate, VOHeuristic(base="dom")) == "t1"
-    hstate.assigned.add("t1")
+    hstate.assigned["t1"] = 0
     assert select_variable(hstate, VOHeuristic(base="dom")) == "t2"
-    hstate.assigned.update({"t2", "y"})
+    hstate.assigned.update(t2=0, y=0)
     with pytest.raises(ValueError):
         select_variable(hstate, VOHeuristic(base="dom"))
 
@@ -465,12 +466,12 @@ def test_weights_never_decrease():
         from macsolver.propagation import initial_queue, propagate, update_queue
 
         d = hstate.d
-        propagate(hstate, initial_queue(p, "variable"))
+        propagate(hstate, initial_queue(hstate))
         for x in p.variables:
             if d.size(x) > 1:
                 mark = d.mark()
                 removed = d.assign(x, d.current(x)[0])
-                propagate(hstate, update_queue(p, "variable", x, removed))
+                propagate(hstate, update_queue(hstate, x, removed))
                 d.restore(mark)
                 cur = ws.snapshot()
                 assert all(cur[c] >= prev[c] for c in cur)
@@ -518,7 +519,7 @@ def test_random_probe_pinned_cutoffs():
     }
     assert counters(s) == (31, 12784, 287, 24)
     assert all(d.size(x) == len(p.domains[x]) for x in p.variables)
-    assert hstate.assigned == set()
+    assert hstate.assigned == {}
 
 
 def test_random_probe_restores_state():
@@ -526,7 +527,7 @@ def test_random_probe_restores_state():
     d, ws, hstate, s, cfg = probe_setup(p, failures=3, runs=4)
     random_probe(hstate, cfg, 1)
     assert all(d.size(x) == len(p.domains[x]) for x in p.variables)
-    assert hstate.assigned == set()
+    assert hstate.assigned == {}
 
 
 def test_random_probe_definitive_unsat():

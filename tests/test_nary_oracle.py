@@ -24,9 +24,9 @@ INSTANCES = [gen_nary(seed) for seed in SEEDS]
 COUNTS = [count_solutions(p) for p in INSTANCES]
 
 
-def unit_state(problem, policy):
+def unit_state(problem, scheme, policy):
     # unit weights and nothing assigned, as at the start of a solve
-    return HeuristicState(problem, WeightStore(problem), policy=policy)
+    return HeuristicState(problem, WeightStore(problem), scheme=scheme, policy=policy)
 
 
 def current(d, problem):
@@ -56,9 +56,9 @@ def test_generator_covers_every_constraint_kind():
 def test_nary_fixpoints_match_oracle(scheme, policy):
     for p in INSTANCES:
         want = ac_fixpoint(p)
-        state = unit_state(p, policy)
+        state = unit_state(p, scheme, policy)
         d = state.d
-        out = propagate(state, initial_queue(p, scheme))
+        out = propagate(state, initial_queue(state))
         assert out.consistent == (want is not None), p.name
         if want is None:
             continue
@@ -69,7 +69,7 @@ def test_nary_fixpoints_match_oracle(scheme, policy):
             continue
         for a in sorted(want[x]):
             mark = d.mark()
-            queue = update_queue(p, scheme, x, d.assign(x, a))
+            queue = update_queue(state, x, d.assign(x, a))
             out = propagate(state, queue)
             step = ac_fixpoint(restricted(p, want, x, a))
             assert out.consistent == (step is not None), (p.name, x, a)

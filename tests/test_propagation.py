@@ -11,6 +11,7 @@ from macsolver import propagation
 from macsolver.heuristics import HeuristicState, WeightStore
 from macsolver.instances import gen_chessboard, gen_model_d
 from macsolver.model import Constraint, DomainStore, Problem, SearchStats
+from macsolver.search import SearchConfig, solve
 from macsolver.propagation import (
     POLICIES_BY_SCHEME,
     SCORE_BUILDERS,
@@ -48,8 +49,8 @@ def unit_state(problem, **setting):
 
 
 def run_to_fixpoint(problem, scheme, policy):
-    state = unit_state(problem, policy=policy)
-    return state, propagate(state, initial_queue(problem, scheme))
+    state = unit_state(problem, scheme=scheme, policy=policy)
+    return state, propagate(state, initial_queue(state))
 
 
 def scope_read(d, c):
@@ -127,7 +128,7 @@ def test_propagate_counts_revisions_and_dwos():
 def test_propagate_idempotent():
     p = chain_problem()
     state, out = run_to_fixpoint(p, "variable", "fifo")
-    again = propagate(state, initial_queue(p, "variable"))
+    again = propagate(state, initial_queue(state))
     assert again.consistent
     assert again.removed == 0
     assert again.fruitful == frozenset()
@@ -153,7 +154,7 @@ def test_wipeout_outcome_fields():
 
 
 def test_queue_is_duplicate_free_fifo():
-    q = RevisionQueue("variable")
+    q = RevisionQueue()
     q.add("a")
     q.add("b")
     q.add("a")
@@ -165,12 +166,20 @@ def test_queue_is_duplicate_free_fifo():
 
 
 def test_queue_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        RevisionQueue("nosuch")
+    # a queue's kind is the scheme of the state it is built from, and the
+    # state checks its scheme and policy once, when it is built
+    p = chain_problem()
+    policies = {policy for _, policy in ALL_COMBOS}
+    for scheme, fits in POLICIES_BY_SCHEME.items():
+        for policy in sorted(policies - set(fits)):
+            with pytest.raises(ValueError, match="does not fit"):
+                unit_state(p, scheme=scheme, policy=policy)
+    with pytest.raises(ValueError, match="unknown propagation scheme"):
+        unit_state(p, scheme="nosuch")
 
 
 def test_ctr_bookkeeping():
-    q = RevisionQueue("constraint")
+    q = RevisionQueue()
     q.bump("c", "x", 2)
     q.bump("c", "x", 3)
     assert q.ctr_of("c", "x") == 5
@@ -186,7 +195,7 @@ def test_needs_not_be_revised():
         kind="forbidden",
         tuples=frozenset({(0, 0, 0)}),
     )
-    q = RevisionQueue("variable")
+    q = RevisionQueue()
     # no removals anywhere: no revision is provably redundant
     assert needs_not_be_revised(q, c) is None
     q.bump("c", "x", 1)
@@ -211,9 +220,10 @@ def test_requeue_leaves_the_skipped_constraints_ctr_alone(scheme, make):
     p = make()
     for c in p.constraints:
         for x in c.scope:
-            q = initial_queue(p, scheme)
+            state = unit_state(p, scheme=scheme, policy=POLICIES_BY_SCHEME[scheme][0])
+            q = initial_queue(state)
             before = {y: q.ctr_of(c.id, y) for y in c.scope}
-            _requeue(p, q, x, 2, skip=c)
+            _requeue(state, q, x, 2, skip=c)
             assert {y: q.ctr_of(c.id, y) for y in c.scope} == before, (c.id, x)
 
 
@@ -281,18 +291,18 @@ def test_propagate_reads_each_scope_domain_once_per_constraint(monkeypatch, sche
     monkeypatch.setattr(propagation, "needs_not_be_revised", counted_needs)
     monkeypatch.setattr(propagation, "revise", counted_revise)
     monkeypatch.setattr(propagation, "select_next", counted_select)
-    hstate = unit_state(p, policy=policy)
+    hstate = unit_state(p, scheme=scheme, policy=policy)
     d = hstate.d
     # three corners of the first square set to one color leave the fourth
     # corner one value, and that removal propagates further
     for x in ("s0_0", "s0_1", "s1_0"):
         removed = d.assign(x, 0)
-        hstate.assigned.add(x)
+        hstate.assigned[x] = 0
         for log in (reads, ctr_reads, processed, fruitful, selected):
             del log[:]
         monkeypatch.setattr(DomainStore, "current", counted_current)
         monkeypatch.setattr(RevisionQueue, "ctr_of", counted_ctr_of)
-        out = propagate(hstate, update_queue(p, scheme, x, removed))
+        out = propagate(hstate, update_queue(hstate, x, removed))
         monkeypatch.setattr(DomainStore, "current", current)
         monkeypatch.setattr(RevisionQueue, "ctr_of", ctr_of)
         assert out.consistent, x
@@ -325,7 +335,7 @@ def test_propagate_builds_the_key_once_per_call(monkeypatch, scheme, policy, mak
 
 def test_initial_queue_seeds_everything():
     p = chain_problem()
-    q = initial_queue(p, "arc")
+    q = initial_queue(unit_state(p, scheme="arc"))
     assert set(q.elements()) == {
         ("cxy", "x"),
         ("cxy", "y"),
@@ -333,9 +343,9 @@ def test_initial_queue_seeds_everything():
         ("cyz", "z"),
     }
     assert not q.ctr  # the arc scheme reads no ctr
-    qv = initial_queue(p, "variable")
+    qv = initial_queue(unit_state(p, scheme="variable"))
     assert qv.elements() == ["x", "y", "z"]
-    qc = initial_queue(p, "constraint")
+    qc = initial_queue(unit_state(p, scheme="constraint", policy="c_wcon"))
     assert qc.elements() == ["cxy", "cyz"]
     for q in (qv, qc):
         assert all(q.ctr_of(c.id, x) == 1 for c in p.constraints for x in c.scope)
@@ -343,13 +353,13 @@ def test_initial_queue_seeds_everything():
 
 def test_update_queue_seeds_touched_cone():
     p = chain_problem()
-    q = update_queue(p, "arc", "y", 2)
+    q = update_queue(unit_state(p, scheme="arc"), "y", 2)
     # only the other variables of y's constraints are queued
     assert set(q.elements()) == {("cxy", "x"), ("cyz", "z")}
     assert not q.ctr  # the arc scheme reads no ctr
-    qv = update_queue(p, "variable", "y", 2)
+    qv = update_queue(unit_state(p, scheme="variable"), "y", 2)
     assert qv.elements() == ["y"]
-    qc = update_queue(p, "constraint", "y", 2)
+    qc = update_queue(unit_state(p, scheme="constraint", policy="c_wcon"), "y", 2)
     assert qc.elements() == ["cxy", "cyz"]
     for q in (qv, qc):
         assert q.ctr_of("cxy", "y") == 2
@@ -359,8 +369,8 @@ def test_update_queue_seeds_touched_cone():
 
 def test_update_queue_zero_removals_is_noop():
     p = chain_problem()
-    for scheme in ("arc", "variable", "constraint"):
-        q = update_queue(p, scheme, "y", 0)
+    for scheme, policies in POLICIES_BY_SCHEME.items():
+        q = update_queue(unit_state(p, scheme=scheme, policy=policies[0]), "y", 0)
         assert len(q) == 0
         assert not q.ctr
 
@@ -380,10 +390,17 @@ def test_validate_policy():
         validate_policy("constraint", "fifo")
 
 
-def test_propagate_rejects_mismatched_queue():
+def test_propagate_leaves_the_policy_check_to_the_state(monkeypatch):
     p = chain_problem()
-    with pytest.raises(ValueError):
-        propagate(unit_state(p, policy="a_wdeg"), initial_queue(p, "variable"))
+    cfg = SearchConfig(scheme="arc", policy="a_dom/wdeg")
+    state = unit_state(p, scheme=cfg.scheme, policy=cfg.policy)
+
+    def refuse(*args):
+        raise AssertionError("the policy was checked again")
+
+    monkeypatch.setattr(propagation, "validate_policy", refuse)
+    assert propagate(state, initial_queue(state)).consistent
+    assert solve(p, cfg).result == "sat"
 
 
 class DictWeights:
@@ -394,9 +411,9 @@ class DictWeights:
         return self.table[cid]
 
 
-def select_under(p, q, policy, d, weights, wdeg):
+def select_under(p, q, scheme, policy, d, weights, wdeg):
     # select_next with the key propagate builds for policy
-    build = SCORE_BUILDERS[q.kind][policy]
+    build = SCORE_BUILDERS[scheme][policy]
     return select_next(q, None if build is None else build(p, d, weights, wdeg))
 
 
@@ -416,25 +433,25 @@ def test_select_next_fifo_and_dom():
     w = DictWeights({"c1": 1, "c2": 1})
     wdeg = lambda x: 1
 
-    q = RevisionQueue("arc")
+    q = RevisionQueue()
     q.add(("c2", "a"))
     q.add(("c1", "b"))
-    assert select_under(p, q, "fifo", d, w, wdeg) == ("c2", "a")
+    assert select_under(p, q, "arc", "fifo", d, w, wdeg) == ("c2", "a")
 
-    q = RevisionQueue("arc")
+    q = RevisionQueue()
     q.add(("c2", "a"))  # |D(a)| = 4
     q.add(("c1", "b"))  # |D(b)| = 1
-    assert select_under(p, q, "dom", d, w, wdeg) == ("c1", "b")
+    assert select_under(p, q, "arc", "dom", d, w, wdeg) == ("c1", "b")
 
 
 def test_select_next_fifo_breaks_score_ties():
     p = selection_problem()
     d = DomainStore(p)
     w = DictWeights({"c1": 1, "c2": 1})
-    q = RevisionQueue("arc")
+    q = RevisionQueue()
     q.add(("c1", "a"))
     q.add(("c2", "a"))  # same variable, same score
-    assert select_under(p, q, "dom", d, w, lambda x: 1) == ("c1", "a")
+    assert select_under(p, q, "arc", "dom", d, w, lambda x: 1) == ("c1", "a")
 
 
 def test_select_next_weight_policies():
@@ -443,25 +460,25 @@ def test_select_next_weight_policies():
     w = DictWeights({"c1": 1, "c2": 5})
     wdeg = lambda x: {"a": 1, "b": 7, "e": 2}[x]
 
-    q = RevisionQueue("arc")
+    q = RevisionQueue()
     q.add(("c1", "a"))
     q.add(("c2", "a"))
-    assert select_under(p, q, "a_wcon", d, w, wdeg) == ("c2", "a")  # heaviest constraint
+    assert select_under(p, q, "arc", "a_wcon", d, w, wdeg) == ("c2", "a")  # heaviest constraint
 
-    q = RevisionQueue("arc")
+    q = RevisionQueue()
     q.add(("c1", "a"))
     q.add(("c1", "b"))
-    assert select_under(p, q, "a_wdeg", d, w, wdeg) == ("c1", "b")  # max wdeg
+    assert select_under(p, q, "arc", "a_wdeg", d, w, wdeg) == ("c1", "b")  # max wdeg
 
-    q = RevisionQueue("arc")
+    q = RevisionQueue()
     q.add(("c1", "a"))  # 4/1 = 4
     q.add(("c1", "b"))  # 1/7
-    assert select_under(p, q, "a_dom/wdeg", d, w, wdeg) == ("c1", "b")
+    assert select_under(p, q, "arc", "a_dom/wdeg", d, w, wdeg) == ("c1", "b")
 
-    q = RevisionQueue("arc")
+    q = RevisionQueue()
     q.add(("c1", "a"))  # 4/1 = 4
     q.add(("c2", "a"))  # 4/5
-    assert select_under(p, q, "a_dom/wcon", d, w, wdeg) == ("c2", "a")
+    assert select_under(p, q, "arc", "a_dom/wcon", d, w, wdeg) == ("c2", "a")
 
 
 def test_select_next_inverse_policies_score_other_variables():
@@ -472,17 +489,17 @@ def test_select_next_inverse_policies_score_other_variables():
 
     # both arcs revise a (same best-first score); the inverse rule looks at
     # the other scope variable instead: b gives 1/1, e gives 2/1
-    q = RevisionQueue("arc")
+    q = RevisionQueue()
     q.add(("c2", "a"))
     q.add(("c1", "a"))
-    assert select_under(p, q, "a_dom/wdeg_inverse", d, w, wdeg) == ("c1", "a")
+    assert select_under(p, q, "arc", "a_dom/wdeg_inverse", d, w, wdeg) == ("c1", "a")
 
     w2 = DictWeights({"c1": 1, "c2": 4})
     # c1: min over {b} of 1/w(c1)=1; c2: min over {e} of 2/w(c2)=0.5
-    q = RevisionQueue("arc")
+    q = RevisionQueue()
     q.add(("c1", "a"))
     q.add(("c2", "a"))
-    assert select_under(p, q, "a_dom/wcon_inverse", d, w2, wdeg) == ("c2", "a")
+    assert select_under(p, q, "arc", "a_dom/wcon_inverse", d, w2, wdeg) == ("c2", "a")
 
 
 def test_select_next_variable_policies():
@@ -491,30 +508,30 @@ def test_select_next_variable_policies():
     w = DictWeights({"c1": 1, "c2": 1})
     wdeg = lambda x: {"a": 1, "b": 7, "e": 2}[x]
 
-    q = RevisionQueue("variable")
+    q = RevisionQueue()
     q.add("a")
     q.add("b")
-    assert select_under(p, q, "dom", d, w, wdeg) == "b"
+    assert select_under(p, q, "variable", "dom", d, w, wdeg) == "b"
 
-    q = RevisionQueue("variable")
+    q = RevisionQueue()
     q.add("a")
     q.add("b")
-    assert select_under(p, q, "v_wdeg", d, w, wdeg) == "b"
+    assert select_under(p, q, "variable", "v_wdeg", d, w, wdeg) == "b"
 
-    q = RevisionQueue("variable")
+    q = RevisionQueue()
     q.add("a")  # 4/1
     q.add("e")  # 2/2
-    assert select_under(p, q, "v_dom/wdeg", d, w, wdeg) == "e"
+    assert select_under(p, q, "variable", "v_dom/wdeg", d, w, wdeg) == "e"
 
 
 def test_select_next_constraint_policy():
     p = selection_problem()
     d = DomainStore(p)
     w = DictWeights({"c1": 2, "c2": 9})
-    q = RevisionQueue("constraint")
+    q = RevisionQueue()
     q.add("c1")
     q.add("c2")
-    assert select_under(p, q, "c_wcon", d, w, lambda x: 1) == "c2"
+    assert select_under(p, q, "constraint", "c_wcon", d, w, lambda x: 1) == "c2"
 
 
 def tied_problem():
@@ -543,11 +560,11 @@ def test_select_next_ties_go_to_first_inserted(scheme, policy):
     p = tied_problem()
     d = DomainStore(p)
     w = DictWeights({"c1": 3, "c2": 3, "c3": 3})
-    q = RevisionQueue(scheme)
+    q = RevisionQueue()
     for elem in TIED_ORDER[scheme]:
         q.add(elem)
-    assert select_under(p, q, policy, d, w, lambda x: 6) == TIED_ORDER[scheme][0]
-    assert select_under(p, q, policy, d, w, lambda x: 6) == TIED_ORDER[scheme][1]
+    assert select_under(p, q, scheme, policy, d, w, lambda x: 6) == TIED_ORDER[scheme][0]
+    assert select_under(p, q, scheme, policy, d, w, lambda x: 6) == TIED_ORDER[scheme][1]
 
 
 def example1_problem():
@@ -567,10 +584,10 @@ def test_first_revised_constraint_takes_the_blame():
         ([("c56", "x6"), ("c56", "x5"), ("c12", "x2"), ("c12", "x1")], "c56", "c12"),
     ):
         ws = WeightStore(p, "wdeg")
-        q = RevisionQueue("arc")
+        q = RevisionQueue()
         for elem in order:
             q.add(elem)
-        out = propagate(HeuristicState(p, ws), q)
+        out = propagate(HeuristicState(p, ws, scheme="arc"), q)
         assert not out.consistent
         assert out.dwo_constraint == blamed
         assert ws.get(blamed) == 2
@@ -580,7 +597,8 @@ def test_first_revised_constraint_takes_the_blame():
 def test_update_weights_false_freezes_store():
     p = example1_problem()
     ws = WeightStore(p, "wdeg")
-    out = propagate(HeuristicState(p, ws), initial_queue(p, "arc"), update_weights=False)
+    state = HeuristicState(p, ws, scheme="arc")
+    out = propagate(state, initial_queue(state), update_weights=False)
     assert not out.consistent
     assert ws.snapshot() == {"c12": 1, "c56": 1}
 
@@ -626,7 +644,7 @@ def test_removed_totals_match_domain_shrinkage():
     state = unit_state(p)
     d = state.d
     before = sum(d.size(x) for x in p.variables)
-    out = propagate(state, initial_queue(p, "variable"))
+    out = propagate(state, initial_queue(state))
     after = sum(d.size(x) for x in p.variables)
     if out.consistent:
         assert before - after == out.removed
@@ -635,9 +653,9 @@ def test_removed_totals_match_domain_shrinkage():
 @pytest.mark.parametrize("scheme, policy", ALL_COMBOS)
 def test_passed_deadline_stops_before_the_first_revision(scheme, policy):
     p = gen_model_d(n=8, d=4, e=14, t=0.3, seed=1)
-    state = unit_state(p, policy=policy, deadline=time.monotonic() - 1.0)
+    state = unit_state(p, scheme=scheme, policy=policy, deadline=time.monotonic() - 1.0)
     with pytest.raises(TimeoutError):
-        propagate(state, initial_queue(p, scheme))
+        propagate(state, initial_queue(state))
     s = state.stats
     assert (s.checks, s.revisions, s.dwos) == (0, 0, 0)
 
@@ -649,7 +667,7 @@ def test_deadline_checked_once_per_selection(scheme, monkeypatch):
         propagation, "time", types.SimpleNamespace(monotonic=lambda: next(ticks))
     )
     p = gen_model_d(n=8, d=4, e=14, t=0.3, seed=1)
-    state = unit_state(p, policy=POLICIES_BY_SCHEME[scheme][0], deadline=3)
+    state = unit_state(p, scheme=scheme, policy=POLICIES_BY_SCHEME[scheme][0], deadline=3)
     with pytest.raises(TimeoutError):
-        propagate(state, initial_queue(p, scheme))
+        propagate(state, initial_queue(state))
     assert state.stats.revisions == 3
