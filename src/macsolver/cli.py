@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+import time
 import traceback
+from dataclasses import replace
 
 from .harness import (
     REPORT_KEY,
@@ -23,9 +25,17 @@ from .harness import (
     run_experiment,
     write_csv,
 )
-from .heuristics import parse_heuristic
+from .heuristics import WeightStore, parse_heuristic
 from .propagation import SCHEMES
-from .search import MODES, VALUE_ORDERS, SearchConfig, parse_restarts, solve
+from .search import (
+    MODES,
+    VALUE_ORDERS,
+    SearchConfig,
+    SearchOutcome,
+    SearchStats,
+    parse_restarts,
+    solve,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_solve(args) -> int:
-    problem = load_instance(args.instance)
+    # the config first, so that a bad flag fails before a long build
     cfg = SearchConfig(
         heuristic=parse_heuristic(args.var),
         scheme=args.scheme,
@@ -74,7 +84,14 @@ def _cmd_solve(args) -> int:
         mode=args.mode,
         timeout=args.timeout,
     )
-    outcome = solve(problem, cfg)
+    # --timeout also covers building the instance, which is not interrupted
+    start = time.monotonic()
+    problem = load_instance(args.instance)
+    left = cfg.timeout - (time.monotonic() - start)
+    if left > 0:
+        outcome = solve(problem, replace(cfg, timeout=left))
+    else:
+        outcome = SearchOutcome("timeout", None, 0, SearchStats(), WeightStore(problem))
     s = outcome.stats
     print(f"instance: {problem.name}")
     print(f"result: {outcome.result}")

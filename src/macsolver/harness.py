@@ -316,14 +316,19 @@ def dependency_report(rows: list[ResultRow]) -> list[tuple]:
     node count per revision policy its scheme has in DEPENDENCY_POLICIES (the
     per-policy mean when several seeds are present) and reports the
     population variance across the three, as the group's REPORT_KEY values
-    followed by the variance. Groups missing a policy, and groups of a scheme
-    without dependency policies, are skipped with a warning.
+    followed by the variance. Groups missing a policy, groups in which a run
+    of one of those policies timed out (its node count is not the tree's),
+    and groups of a scheme without dependency policies, are skipped with a
+    warning.
     """
     by_group: dict[tuple, dict[str, list[float]]] = {}
+    timed_out: set[tuple] = set()  # (group key, policy) of a timed-out run
     for row in rows:
         if row.seed != "avg":
-            cell = by_group.setdefault(tuple(getattr(row, col) for col in REPORT_KEY), {})
-            cell.setdefault(row.rev_heur, []).append(float(row.nodes))
+            key = tuple(getattr(row, col) for col in REPORT_KEY)
+            by_group.setdefault(key, {}).setdefault(row.rev_heur, []).append(float(row.nodes))
+            if row.result == "timeout":
+                timed_out.add((key, row.rev_heur))
     report = []
     for key, cell in by_group.items():
         label = " / ".join(key)
@@ -334,6 +339,12 @@ def dependency_report(rows: list[ResultRow]) -> list[tuple]:
         missing = [p for p in policies if p not in cell]
         if missing:
             log.warning("dependency report: %s missing %s, skipped", label, ", ".join(missing))
+            continue
+        late = [p for p in policies if (key, p) in timed_out]
+        if late:
+            log.warning(
+                "dependency report: %s timed out under %s, skipped", label, ", ".join(late)
+            )
             continue
         points = [statistics.fmean(cell[p]) for p in policies]
         report.append((*key, variance(points)))

@@ -33,10 +33,9 @@ def _dom_over_wdeg(state):
 
 
 def _impact_key(state):
-    impacts, d = state.impacts, state.d
-    if impacts is None:
+    if state.impacts is None:
         raise ValueError("impact heuristic used without an impact store")
-    return lambda x: variable_impact(impacts, x, d)
+    return lambda x: variable_impact(state, x)
 
 
 # base -> score builder. A builder takes the state and returns the score of
@@ -49,7 +48,7 @@ SCORE_BUILDERS = {
     "ddeg": lambda s: lambda x: -s.ddeg(x),
     "dom+deg": lambda s: lambda x: (s.d.size(x), -len(s.problem.neighborhood[x])),
     "dom/ddeg": lambda s: lambda x: dom_ratio(s.d.size(x), s.ddeg(x)),
-    "mdvo": lambda s: lambda x: _mdvo_score(x, s.problem, s.d),
+    "mdvo": lambda s: lambda x: _mdvo_score(s, x),
     "wdeg": _wdeg_key,
     "dom/wdeg": _dom_over_wdeg,
     "alldel": _dom_over_wdeg,
@@ -247,12 +246,13 @@ def score_variable(h: VOHeuristic, x: str, state: HeuristicState):
     return SCORE_BUILDERS[h.base](state)(x)
 
 
-def _mdvo_score(x: str, problem: Problem, d: DomainStore) -> float:
+def _mdvo_score(state: HeuristicState, x: str) -> float:
     """Mean pairwise constrainedness of x against its neighborhood Γ(x).
 
     Each variable y weighs α(y) = |D(y)|/|Γ(y)|; the score is the sum of
     α(x) + α(y) over y in Γ(x), divided by |Γ(x)|².
     """
+    problem, d = state.problem, state.d
     gamma = problem.neighborhood[x]
     if not gamma:
         return float(d.size(x))
@@ -323,15 +323,17 @@ def observe_impact(store: ImpactStore, x: str, a: int, p_before: int, p_after: i
     return impact
 
 
-def variable_impact(store: ImpactStore, x: str, d: DomainStore) -> float:
-    """Sum of (1 - averaged impact) over the live values of x."""
-    return sum(1.0 - store.averaged(x, a) for a in d.current(x))
+def variable_impact(state: HeuristicState, x: str) -> float:
+    """Sum of (1 - averaged impact in state.impacts) over the live values of x."""
+    store = state.impacts
+    return sum(1.0 - store.averaged(x, a) for a in state.d.current(x))
 
 
-def space_product(problem: Problem, d: DomainStore, assigned, exclude: str | None = None) -> int:
-    """Product of current domain sizes over unassigned variables."""
+def space_product(state: HeuristicState, exclude: str | None = None) -> int:
+    """Product of current domain sizes over the unassigned variables but exclude."""
+    d, assigned = state.d, state.assigned
     p = 1
-    for y in problem.variables:
+    for y in state.problem.variables:
         if y in assigned or y == exclude:
             continue
         p *= d.size(y)
@@ -365,7 +367,7 @@ def _lookahead(state: HeuristicState, x: str, keep) -> tuple[bool, int, int]:
     """
     if time.monotonic() >= state.deadline:
         raise TimeoutError
-    d, problem, assigned = state.d, state.problem, state.assigned
+    d = state.d
     root = d.mark()
     try:
         removed = 0
@@ -373,10 +375,10 @@ def _lookahead(state: HeuristicState, x: str, keep) -> tuple[bool, int, int]:
             if v not in keep:
                 d.remove(x, v)
                 removed += 1
-        p_before = space_product(problem, d, assigned, exclude=x)
+        p_before = space_product(state, exclude=x)
         if not state.propagate_from(x, removed, update_weights=False):
             return False, p_before, 0
-        return True, p_before, space_product(problem, d, assigned, exclude=x)
+        return True, p_before, space_product(state, exclude=x)
     finally:
         d.restore(root)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .model import Constraint, DomainStore, Problem, seek_support
+from .model import Constraint, DomainStore, seek_support
 
 
 def dom_ratio(dom_size: int, weight: int) -> float:
@@ -20,47 +20,41 @@ def dom_ratio(dom_size: int, weight: int) -> float:
     return dom_size / weight if weight > 0 else float(dom_size)
 
 
-def _inverse(problem: Problem, d: DomainStore, arc: tuple[str, str], weight_of) -> float:
+def _inverse(s, arc: tuple[str, str], weight_of) -> float:
     # scores the arc by the other scope variables, not by the revised one
     cid, x = arc
     return min(
-        dom_ratio(d.size(y), weight_of(y)) for y in problem.by_id[cid].scope if y != x
+        dom_ratio(s.d.size(y), weight_of(y)) for y in s.problem.by_id[cid].scope if y != x
     )
 
 
 # scheme -> policy -> score builder, None for fifo. propagate calls a builder
-# once per call with (problem, d, weights, wdeg), objects fixed for the call:
-# weights.get(cid) is a constraint weight, wdeg(x) a weighted degree. The key
-# it returns reads them live; select_next pops the smallest, first inserted on
-# ties. Under the variable scheme, a policy named v_* is weight-driven: it
-# also revises each selected variable's constraints heaviest first.
+# once per call with the solve state s. The key it returns reads s's domains,
+# constraint weights and weighted degrees live; select_next pops the smallest,
+# first inserted on ties. Under the variable scheme, a policy named v_* is
+# weight-driven: it also revises each selected variable's constraints
+# heaviest first.
 SCORE_BUILDERS = {
     "arc": {
         "fifo": None,
-        "dom": lambda p, d, w, wdeg: lambda arc: d.size(arc[1]),
-        "a_wcon": lambda p, d, w, wdeg: lambda arc: -w.get(arc[0]),
-        "a_wdeg": lambda p, d, w, wdeg: lambda arc: -wdeg(arc[1]),
-        "a_dom/wdeg": lambda p, d, w, wdeg: (
-            lambda arc: dom_ratio(d.size(arc[1]), wdeg(arc[1]))
-        ),
-        "a_dom/wcon": lambda p, d, w, wdeg: (
-            lambda arc: dom_ratio(d.size(arc[1]), w.get(arc[0]))
-        ),
-        "a_dom/wdeg_inverse": lambda p, d, w, wdeg: (
-            lambda arc: _inverse(p, d, arc, wdeg)
-        ),
-        "a_dom/wcon_inverse": lambda p, d, w, wdeg: (
-            lambda arc: _inverse(p, d, arc, lambda y: w.get(arc[0]))
+        "dom": lambda s: lambda arc: s.d.size(arc[1]),
+        "a_wcon": lambda s: lambda arc: -s.weights.get(arc[0]),
+        "a_wdeg": lambda s: lambda arc: -s.wdeg(arc[1]),
+        "a_dom/wdeg": lambda s: lambda arc: dom_ratio(s.d.size(arc[1]), s.wdeg(arc[1])),
+        "a_dom/wcon": lambda s: lambda arc: dom_ratio(s.d.size(arc[1]), s.weights.get(arc[0])),
+        "a_dom/wdeg_inverse": lambda s: lambda arc: _inverse(s, arc, s.wdeg),
+        "a_dom/wcon_inverse": lambda s: (
+            lambda arc: _inverse(s, arc, lambda y: s.weights.get(arc[0]))
         ),
     },
     "variable": {
         "fifo": None,
-        "dom": lambda p, d, w, wdeg: d.size,
-        "v_wdeg": lambda p, d, w, wdeg: lambda x: -wdeg(x),
-        "v_dom/wdeg": lambda p, d, w, wdeg: lambda x: dom_ratio(d.size(x), wdeg(x)),
+        "dom": lambda s: s.d.size,
+        "v_wdeg": lambda s: lambda x: -s.wdeg(x),
+        "v_dom/wdeg": lambda s: lambda x: dom_ratio(s.d.size(x), s.wdeg(x)),
     },
     "constraint": {
-        "c_wcon": lambda p, d, w, wdeg: lambda cid: -w.get(cid),
+        "c_wcon": lambda s: lambda cid: -s.weights.get(cid),
     },
 }
 
@@ -248,7 +242,7 @@ def propagate(state, queue: RevisionQueue, update_weights: bool = True) -> Propa
     build = SCORE_BUILDERS[scheme][policy]
     problem, d, stats = state.problem, state.d, state.stats
     weights, deadline = state.weights, state.deadline
-    key = None if build is None else build(problem, d, weights, state.wdeg)
+    key = None if build is None else build(state)
     heaviest_first = (lambda c: -weights.get(c.id)) if policy.startswith("v_") else None
     fruitful: set[str] = set()
     total_removed = 0

@@ -201,11 +201,10 @@ def dway_search(state: HeuristicState, choose, values, leaf, failed) -> str:
                     continue
             frame = stack[-1]
             x = frame[0]
-            a = next((v for v in frame[1] if d.contains(x, v)), None)
-            if a is None:
-                stack.pop()
-                descend = False
-                continue
+            # values(x) listed all of D(x) when the node opened, D(x) is not
+            # empty here, and each tried value left it before this draw: so
+            # a live value of x is still untried
+            a = next(v for v in frame[1] if d.contains(x, v))
             if time.monotonic() >= state.deadline:
                 raise TimeoutError
             stats.nodes += 1
@@ -213,10 +212,10 @@ def dway_search(state: HeuristicState, choose, values, leaf, failed) -> str:
             removed = d.assign(x, a)
             assigned[x] = a
             if impacts is not None:
-                p_before = space_product(problem, d, assigned)
+                p_before = space_product(state)
             descend = state.propagate_from(x, removed)
             if impacts is not None:
-                p_after = space_product(problem, d, assigned) if descend else 0
+                p_after = space_product(state) if descend else 0
                 observe_impact(impacts, x, a, p_before, p_after)
     finally:
         for frame in stack:

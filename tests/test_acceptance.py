@@ -264,7 +264,7 @@ def test_criterion_07_impact_machinery():
             for a in d.current(x):
                 avg = store.averaged(x, a)
                 assert 0.0 <= avg <= 1.0, (seed, x, a, avg)
-            vi = variable_impact(store, x, d)
+            vi = variable_impact(state, x)
             assert 0.0 <= vi <= d.size(x), (seed, x, vi)
     assert exercised >= 8
     print(

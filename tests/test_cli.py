@@ -1,12 +1,14 @@
 import json
+import types
 
 import pytest
 
+from macsolver import cli
 from macsolver.cli import main
 from macsolver.harness import COLUMNS, csv_text, read_csv
-from macsolver.instances import gen_langford
+from macsolver.instances import gen_langford, gen_queens
 from macsolver.model import dump_problem
-from macsolver.search import MODES, VALUE_ORDERS
+from macsolver.search import MODES, VALUE_ORDERS, solve
 from test_harness import BAD_VALUES, make_row
 from test_search import ne_chain
 
@@ -49,6 +51,56 @@ def test_solve_timeout_exit_two(capsys):
     assert "result: timeout" in out
 
 
+def fake_clock(monkeypatch, *readings):
+    # the CLI's clock returns the given readings, one per call
+    ticks = iter(readings)
+    monkeypatch.setattr(cli, "time", types.SimpleNamespace(monotonic=lambda: next(ticks)))
+
+
+def test_solve_timeout_counts_the_time_spent_building(monkeypatch, capsys):
+    fake_clock(monkeypatch, 100.0, 101.5)  # building takes the whole 1.5 s
+    monkeypatch.setattr(cli, "load_instance", lambda source: gen_queens(4))
+
+    def refuse(problem, cfg):
+        raise AssertionError("solve ran after building used up the budget")
+
+    monkeypatch.setattr(cli, "solve", refuse)
+    code, out, err = run(capsys, "solve", "queens:n=4", "--timeout", "1.5", "--mode", "count")
+    assert code == 2, err
+    assert out.splitlines() == [
+        "instance: queens-4",
+        "result: timeout",
+        "solutions: 0",
+        "nodes: 0  checks: 0  revisions: 0  dwos: 0  restarts: 0  time_ms: 0.0",
+    ]
+
+
+def test_solve_gets_what_building_left_of_the_timeout(monkeypatch, capsys):
+    fake_clock(monkeypatch, 100.0, 100.25)
+    budgets = []
+
+    def recorded(problem, cfg):
+        budgets.append(cfg.timeout)
+        return solve(problem, cfg)
+
+    monkeypatch.setattr(cli, "solve", recorded)
+    code, out, _ = run(capsys, "solve", "queens:n=4", "--timeout", "1")
+    assert code == 0
+    assert budgets == [0.75]
+    assert "result: sat" in out
+
+
+def test_solve_checks_its_flags_before_building(monkeypatch, capsys):
+    def refuse(source):
+        raise AssertionError("the instance was built before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_instance", refuse)
+    for flags in (("--var", "nosuch"), ("--rev", "a_wdeg"), ("--timeout", "0")):
+        code, out, err = run(capsys, "solve", "queens:n=4", *flags)
+        assert code == 3, flags
+        assert out == "" and "internal" not in err, flags
+
+
 def test_solve_count_mode(capsys):
     code, out, _ = run(capsys, "solve", "queens:n=5", "--mode", "count")
     assert code == 0
@@ -78,6 +130,15 @@ def test_solve_instance_file(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", str(path))
     assert code == 0
     assert "instance: langford-2-3" in out
+
+
+def test_a_malformed_instance_file_exits_three(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    path.write_text('{"name": "broken", "variables": [')
+    code, out, err = run(capsys, "solve", str(path))
+    assert code == 3
+    assert out == ""
+    assert "error: parse error at line 1 column " in err and "internal" not in err
 
 
 def test_bad_usage_exits_three(capsys):
@@ -252,6 +313,18 @@ def test_report_variance(tmp_path, capsys):
     assert len(lines) == 2
     assert lines[1].startswith("queens-5,variable,dom,none,lex,")
     float(lines[1].split(",")[5])  # parses as a number
+
+
+def test_report_variance_skips_a_group_with_a_timed_out_run(tmp_path, capsys):
+    path = tmp_path / "rows.csv"
+    path.write_text(csv_text([
+        make_row(rev_heur="fifo", nodes=10),
+        make_row(rev_heur="dom", result="timeout", nodes=3),
+        make_row(rev_heur="v_dom/wdeg", nodes=12),
+    ]))
+    code, out, _ = run(capsys, "report", "variance", str(path))
+    assert code == 0
+    assert out.splitlines() == ["instance,scheme,var_heur,restart,value_order,node_variance"]
 
 
 def test_report_rejects_a_malformed_csv(tmp_path, capsys):

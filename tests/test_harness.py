@@ -458,6 +458,36 @@ def test_dependency_report_skips_incomplete_groups(caplog):
     assert any("missing" in rec.message for rec in caplog.records)
 
 
+def test_dependency_report_skips_groups_with_a_timed_out_run(caplog):
+    # a timed-out run's node count is where the clock stopped, not its tree
+    rows = [
+        make_row(rev_heur="fifo", nodes=10),
+        make_row(rev_heur="dom", result="timeout", nodes=3),
+        make_row(rev_heur="v_dom/wdeg", nodes=12),
+        # one timed-out seed of three spoils the policy's mean too
+        make_row(instance="queens-5", rev_heur="fifo", seed=0, nodes=4),
+        make_row(instance="queens-5", rev_heur="fifo", seed=1, result="timeout", nodes=1),
+        make_row(instance="queens-5", rev_heur="dom", nodes=6),
+        make_row(instance="queens-5", rev_heur="v_dom/wdeg", result="timeout", nodes=2),
+        # a policy outside the report may time out
+        make_row(instance="queens-6", rev_heur="fifo", nodes=7),
+        make_row(instance="queens-6", rev_heur="dom", nodes=8),
+        make_row(instance="queens-6", rev_heur="v_dom/wdeg", nodes=9),
+        make_row(instance="queens-6", rev_heur="v_wdeg", result="timeout", nodes=1),
+    ]
+    with caplog.at_level(logging.WARNING):
+        report = dependency_report(rows)
+    assert report == [
+        ("queens-6", "variable", "dom", "none", "lex", pytest.approx(variance([7, 8, 9]))),
+    ]
+    assert [rec.message for rec in caplog.records] == [
+        "dependency report: queens-4 / variable / dom / none / lex"
+        " timed out under dom, skipped",
+        "dependency report: queens-5 / variable / dom / none / lex"
+        " timed out under fifo, v_dom/wdeg, skipped",
+    ]
+
+
 def test_dependency_report_reads_each_schemes_policies(caplog):
     rows = []
     for rev, nodes in (("fifo", 10), ("dom", 14), ("v_dom/wdeg", 12)):

@@ -34,7 +34,7 @@ from macsolver.heuristics import (
     weight_policy_for,
 )
 from macsolver.instances import gen_chessboard, gen_langford, gen_model_d, gen_queens
-from macsolver.model import Constraint, DomainStore, Problem
+from macsolver.model import Constraint, Problem
 from macsolver.search import random_probe
 
 
@@ -229,6 +229,17 @@ def test_score_variable_ratio_fallback():
     assert score_variable(VOHeuristic(base="dom/ddeg"), "x", hstate) == 2.0
 
 
+@pytest.mark.parametrize("pick", [
+    lambda state, h: select_variable(state, h),
+    lambda state, h: score_variable(h, "x", state),
+])
+def test_impact_base_without_an_impact_store_is_rejected(pick):
+    state = fresh_state(star_problem())  # no impact store
+    with pytest.raises(ValueError) as exc:
+        pick(state, VOHeuristic(base="impact"))
+    assert str(exc.value) == "impact heuristic used without an impact store"
+
+
 def test_mdvo_score():
     p = star_problem()
     hstate = fresh_state(p)
@@ -391,20 +402,20 @@ def test_observe_impact_formula():
 
 def test_variable_impact_sums_residuals():
     p = star_problem()
-    d = DomainStore(p)
     store = ImpactStore()
     store.observe("x", 0, 1.0)
     store.observe("x", 1, 0.25)
-    assert variable_impact(store, "x", d) == pytest.approx(0.75)
+    assert variable_impact(fresh_state(p, impacts=store), "x") == pytest.approx(0.75)
 
 
 def test_space_product():
-    p = star_problem()
-    d = DomainStore(p)
-    assert space_product(p, d, set()) == 2 * 3 * 4
-    assert space_product(p, d, {"x"}) == 12
-    assert space_product(p, d, set(), exclude="x3") == 6
-    assert space_product(p, d, {"x", "x2", "x3"}) == 1
+    state = fresh_state(star_problem())
+    assert space_product(state) == 2 * 3 * 4
+    assert space_product(state, exclude="x3") == 6
+    state.assigned.update(x=0)
+    assert space_product(state) == 12
+    state.assigned.update(x2=0, x3=0)
+    assert space_product(state) == 1
 
 
 def test_partition_parts_sizes():
@@ -430,7 +441,7 @@ def test_init_impacts_consistent():
         for a in d.current(x):
             assert store.known(x, a)
             assert 0.0 <= store.averaged(x, a) <= 1.0
-        vi = variable_impact(store, x, d)
+        vi = variable_impact(hstate, x)
         assert 0.0 <= vi <= d.size(x)
     # domains were restored after probing
     assert all(d.size(x) == len(p.domains[x]) for x in p.variables)

@@ -39,6 +39,20 @@ def test_model_d_structure():
     assert all(c.kind == "forbidden" for c in p.constraints)
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: gen_langford(1, 3), "need k >= 2 and n >= 1"),
+    (lambda: gen_langford(2, 0), "need k >= 2 and n >= 1"),
+    (lambda: gen_queens(0), "need n >= 1"),
+    (lambda: gen_chessboard(1, 3, 2), "need rows >= 2, cols >= 2, colors >= 1"),
+    (lambda: gen_chessboard(3, 1, 2), "need rows >= 2, cols >= 2, colors >= 1"),
+    (lambda: gen_chessboard(3, 3, 0), "need rows >= 2, cols >= 2, colors >= 1"),
+])
+def test_structured_generators_reject_bad_parameters(make, message):
+    with pytest.raises(ValueError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 def test_model_d_parameter_validation():
     with pytest.raises(ValueError):
         gen_model_d(n=1, d=3, e=0, t=0.5, seed=0)

@@ -339,6 +339,54 @@ def test_a_table_of_mixed_widths_names_the_wrong_width():
         load_problem(text)
 
 
+def _edit(path, value):
+    # SAMPLE with the field at path (keys and indexes) set to value, or
+    # deleted when value is DELETE
+    doc = json.loads(json.dumps(SAMPLE))
+    *parents, last = path
+    node = doc
+    for step in parents:
+        node = node[step]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return json.dumps(doc)
+
+
+DELETE = object()
+REJECTED_INSTANCES = [
+    ("[]", "top level must be an object"),
+    (_edit(["name"], 3), "field 'name' must be a string"),
+    (_edit(["variables"], []), "field 'variables' must be a non-empty list"),
+    (_edit(["variables", 0], "x"), "variable entries must be objects"),
+    (_edit(["variables", 0, "id"], 1), "variable id must be a string"),
+    (_edit(["variables", 0, "domain"], []), "variable x: domain must be a non-empty list of ints"),
+    (_edit(["variables", 0, "domain"], [0, 0]), "variable x: duplicate domain value"),
+    (_edit(["constraints"], {}), "field 'constraints' must be a list"),
+    (_edit(["constraints", 0], []), "constraint entries must be objects"),
+    (_edit(["constraints", 0, "id"], 0), "constraint id must be a string"),
+    (_edit(["constraints", 0, "scope"], "xy"), "constraint c0: scope must be a list of variable ids"),
+    (_edit(["constraints", 1, "pred"], {"name": "ne"}), "constraint c1: table kinds take no pred"),
+    (_edit(["constraints", 1, "tuples"], DELETE), "constraint c1: missing tuple table"),
+    (_edit(["constraints", 1, "tuples"], [[0, "1"]]), "constraint c1: tuples must be lists of ints"),
+    (_edit(["constraints", 0, "tuples"], [[0, 1]]), "constraint c0: predicate kind takes no tuples"),
+    (_edit(["constraints", 0, "pred"], DELETE), "constraint c0: missing pred object"),
+    (
+        _edit(["constraints", 0, "pred"], {"name": "dist_ne", "k": 1.5}),
+        "constraint c0: k must be an int",
+    ),
+    (_edit(["constraints", 0, "kind"], "nosuch"), "constraint c0: unknown kind 'nosuch'"),
+]
+
+
+@pytest.mark.parametrize("text, message", REJECTED_INSTANCES)
+def test_load_problem_rejection_messages(text, message):
+    with pytest.raises(InstanceError) as exc:
+        load_problem(text)
+    assert str(exc.value) == message
+
+
 def test_load_problem_bad_json_reports_position():
     with pytest.raises(InstanceError) as exc:
         load_problem("{not json")

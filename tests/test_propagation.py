@@ -412,9 +412,11 @@ class DictWeights:
 
 
 def select_under(p, q, scheme, policy, d, weights, wdeg):
-    # select_next with the key propagate builds for policy
+    # select_next with the key propagate builds for policy, over a stand-in
+    # for the solve state that holds only what the builders read
     build = SCORE_BUILDERS[scheme][policy]
-    return select_next(q, None if build is None else build(p, d, weights, wdeg))
+    state = types.SimpleNamespace(problem=p, d=d, weights=weights, wdeg=wdeg)
+    return select_next(q, None if build is None else build(state))
 
 
 def selection_problem():
