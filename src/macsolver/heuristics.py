@@ -32,12 +32,6 @@ def _dom_over_wdeg(state):
     return lambda x: dom_ratio(size(x), w[x])
 
 
-def _impact_key(state):
-    if state.impacts is None:
-        raise ValueError("impact heuristic used without an impact store")
-    return lambda x: variable_impact(state, x)
-
-
 # base -> score builder. A builder takes the state and returns the score of
 # one unassigned variable of state.problem; smaller is preferred. The
 # conflict-driven builders take every weighted degree in one pass, so a
@@ -53,7 +47,7 @@ SCORE_BUILDERS = {
     "dom/wdeg": _dom_over_wdeg,
     "alldel": _dom_over_wdeg,
     "fully": _dom_over_wdeg,
-    "impact": _impact_key,
+    "impact": lambda s: lambda x: variable_impact(s, x),
 }
 BASES = tuple(SCORE_BUILDERS)
 CONFLICT_BASES = ("wdeg", "dom/wdeg", "alldel", "fully")
@@ -169,25 +163,27 @@ class HeuristicState:
     """The state of one solve, shared by search, its probes and propagation.
 
     It owns the problem's domains and the run's counters, and holds the
-    conflict weights, the impact store (or None), the assignment (variable
-    to value) and the propagation setting: the scheme of every queue built
-    from it, the revision policy and the deadline. A policy that does not fit
-    the scheme raises ValueError here, so propagate need not check it.
+    variable heuristic, the stores it builds for that heuristic's base
+    (conflict weights under the base's update policy, and an impact store
+    for the impact base, else None), the assignment (variable to value) and
+    the propagation setting: the scheme of every queue built from it, the
+    revision policy and the deadline. A policy that does not fit the scheme
+    raises ValueError here, so propagate need not check it.
     """
 
     def __init__(
         self,
         problem: Problem,
-        weights: WeightStore,
-        impacts: "ImpactStore | None" = None,
+        heuristic: VOHeuristic,
         scheme: str = "variable",
         policy: str = "fifo",
         deadline: float = math.inf,
     ):
         validate_policy(scheme, policy)
         self.problem = problem
-        self.weights = weights
-        self.impacts = impacts
+        self.heuristic = heuristic
+        self.weights = WeightStore(problem, weight_policy_for(heuristic.base))
+        self.impacts = ImpactStore() if heuristic.base == "impact" else None
         self.scheme = scheme
         self.policy = policy
         self.deadline = deadline
@@ -227,23 +223,14 @@ class HeuristicState:
     def ddeg(self, x: str) -> int:
         return sum(1 for c in self.problem.constraints_on[x] if self.qualified(c, x))
 
-    def propagate_from(self, x: str, removed: int, update_weights: bool = True) -> bool:
-        """Propagate the loss of `removed` values of D(x); False on a wipeout.
 
-        update_weights=False keeps the conflict weights untouched (lookahead
-        probes). Raises TimeoutError when a queue selection would start past
-        the deadline.
-        """
-        return propagate(self, update_queue(self, x, removed), update_weights).consistent
-
-
-def score_variable(h: VOHeuristic, x: str, state: HeuristicState):
-    """Score one unassigned variable of state.problem; smaller is preferred.
+def score_variable(state: HeuristicState, x: str):
+    """Score one unassigned variable under state.heuristic; smaller is preferred.
 
     Ratio heuristics fall back to plain |D(x)| when the denominator has no
     qualifying constraint (division guard).
     """
-    return SCORE_BUILDERS[h.base](state)(x)
+    return SCORE_BUILDERS[state.heuristic.base](state)(x)
 
 
 def _mdvo_score(state: HeuristicState, x: str) -> float:
@@ -266,17 +253,18 @@ def _mdvo_score(state: HeuristicState, x: str) -> float:
     return math.fsum(ax + alpha(y) for y in gamma) / (len(gamma) ** 2)
 
 
-def select_variable(state: HeuristicState, h: VOHeuristic) -> str | None:
+def select_variable(state: HeuristicState) -> str | None:
     """Pick the next unassigned variable, or None when a tie-break probe wipes out.
 
-    The candidate set is the argmin of the base score over state.d; ties go
-    to the configured tie-break (declaration order for "lexico"). Probing
+    The candidate set is the argmin of state.heuristic's base score over
+    state.d; ties go to its tie-break (declaration order for "lexico"). Probing
     tie-breaks only run when more than one candidate is tied, and raise
     TimeoutError when a probe would start past state.deadline.
     """
     free = [x for x in state.problem.variables if x not in state.assigned]
     if not free:
         raise ValueError("no unassigned variable to select")
+    h = state.heuristic
     score = SCORE_BUILDERS[h.base](state)
     if h.tiebreak == "lexico":
         return min(free, key=score)
@@ -376,7 +364,7 @@ def _lookahead(state: HeuristicState, x: str, keep) -> tuple[bool, int, int]:
                 d.remove(x, v)
                 removed += 1
         p_before = space_product(state, exclude=x)
-        if not state.propagate_from(x, removed, update_weights=False):
+        if not propagate(state, update_queue(state, x, removed), update_weights=False).consistent:
             return False, p_before, 0
         return True, p_before, space_product(state, exclude=x)
     finally:

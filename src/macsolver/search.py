@@ -18,17 +18,14 @@ from . import model
 from .model import SearchStats
 from .heuristics import (
     HeuristicState,
-    ImpactStore,
-    ProbeConfig,
     VOHeuristic,
     WeightStore,
     init_impacts,
     observe_impact,
     select_variable,
     space_product,
-    weight_policy_for,
 )
-from .propagation import initial_queue, propagate, validate_policy
+from .propagation import initial_queue, propagate, update_queue, validate_policy
 
 
 @dataclass(frozen=True)
@@ -119,6 +116,15 @@ class SearchConfig:
     timeout: float = 3600.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.heuristic, VOHeuristic):
+            raise TypeError(
+                f"heuristic must be a VOHeuristic, not {self.heuristic!r}; use parse_heuristic"
+            )
+        if not isinstance(self.restarts, (GeometricRestarts, ArithmeticRestarts, type(None))):
+            raise TypeError(
+                "restarts must be None, GeometricRestarts or ArithmeticRestarts, "
+                f"not {self.restarts!r}; use parse_restarts"
+            )
         validate_policy(self.scheme, self.policy)
         if self.value_order not in VALUE_ORDERS:
             raise ValueError(f"unknown value order {self.value_order!r}")
@@ -196,7 +202,7 @@ def dway_search(state: HeuristicState, choose, values, leaf, failed) -> str:
                 if failed():
                     return CUTOFF
                 d.remove(x, a)
-                if d.size(x) == 0 or not state.propagate_from(x, 1):
+                if d.size(x) == 0 or not propagate(state, update_queue(state, x, 1)).consistent:
                     stack.pop()
                     continue
             frame = stack[-1]
@@ -213,7 +219,7 @@ def dway_search(state: HeuristicState, choose, values, leaf, failed) -> str:
             assigned[x] = a
             if impacts is not None:
                 p_before = space_product(state)
-            descend = state.propagate_from(x, removed)
+            descend = propagate(state, update_queue(state, x, removed)).consistent
             if impacts is not None:
                 p_after = space_product(state) if descend else 0
                 observe_impact(impacts, x, a, p_before, p_after)
@@ -223,17 +229,19 @@ def dway_search(state: HeuristicState, choose, values, leaf, failed) -> str:
         d.restore(root)
 
 
-def random_probe(state: HeuristicState, cfg: ProbeConfig, seed: int) -> tuple[str, dict | None] | None:
+def random_probe(state: HeuristicState, seed: int) -> tuple[str, dict | None] | None:
     """Run short randomized probes to warm up the conflict weights, state.weights.
 
     Each probe is a run of dway_search with variable selection and value
     order drawn uniformly by one RNG seeded with seed (solve passes the run's
-    SearchConfig.seed), cut off once cfg.failures wipeouts have been seen.
+    SearchConfig.seed), cut off once cfg.failures wipeouts have been seen,
+    cfg being state.heuristic.probing.
     Weights accumulate across probes under the active update policy.
     Returns a definitive ("sat", assignment) or ("unsat", None) when a probe
     happens to settle the instance, else None. The search loop checks the
     deadline before each node, so a passed one raises TimeoutError.
     """
+    cfg = state.heuristic.probing
     rng = random.Random(seed)
     stats, assigned = state.stats, state.assigned
     solution: dict[str, int] = {}
@@ -255,8 +263,8 @@ def random_probe(state: HeuristicState, cfg: ProbeConfig, seed: int) -> tuple[st
 
     for _ in range(cfg.runs):
         dwos_at_start = stats.dwos
-        # records no impacts: solve builds a store only for the impact base,
-        # which takes no +probe
+        # records no impacts: the state builds a store only for the impact
+        # base, which takes no +probe
         result = dway_search(state, choose, values, leaf, failed)
         if result == LEAF:
             return "sat", solution
@@ -282,17 +290,14 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
     outcome keeps the solutions counted so far.
     """
     t0 = time.monotonic()
-    heur = cfg.heuristic
-    weights = WeightStore(problem, policy=weight_policy_for(heur.base))
-    impacts = ImpactStore() if heur.base == "impact" else None
-    state = HeuristicState(problem, weights, impacts, cfg.scheme, cfg.policy, t0 + cfg.timeout)
+    state = HeuristicState(problem, cfg.heuristic, cfg.scheme, cfg.policy, t0 + cfg.timeout)
     d, stats = state.d, state.stats
     solution: dict[str, int] | None = None
     count = 0
 
     def choose() -> str | None:
         # None when a tie-break probe emptied a candidate's domain
-        return select_variable(state, heur)
+        return select_variable(state)
 
     def values(x: str) -> list[int]:
         return order_values(x, d, cfg.value_order, cfg.seed, problem.var_index[x])
@@ -311,10 +316,10 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
         nonlocal solution
         if not propagate(state, initial_queue(state)).consistent:
             return "unsat"
-        if heur.base == "impact" and not init_impacts(state):
+        if state.impacts is not None and not init_impacts(state):
             return "unsat"
-        if heur.probing is not None:
-            definitive = random_probe(state, heur.probing, cfg.seed)
+        if cfg.heuristic.probing is not None:
+            definitive = random_probe(state, cfg.seed)
             if definitive is not None:
                 verdict, probe_solution = definitive
                 if verdict == "unsat":
@@ -347,4 +352,4 @@ def solve(problem: model.Problem, cfg: SearchConfig) -> SearchOutcome:
     except TimeoutError:
         result = "timeout"
     stats.time_ms = (time.monotonic() - t0) * 1000.0
-    return SearchOutcome(result, solution, count, stats, weights)
+    return SearchOutcome(result, solution, count, stats, state.weights)

@@ -21,7 +21,6 @@ from macsolver.harness import (
 )
 from macsolver.heuristics import (
     HeuristicState,
-    ImpactStore,
     VOHeuristic,
     WeightStore,
     init_impacts,
@@ -62,7 +61,7 @@ def test_criterion_01_fixpoint_equivalence():
         want = ac_fixpoint(p)
         wipeouts += want is None
         for scheme, policy in ALL_COMBOS:
-            state = HeuristicState(p, WeightStore(p), scheme=scheme, policy=policy)
+            state = HeuristicState(p, VOHeuristic(), scheme=scheme, policy=policy)
             out = propagate(state, initial_queue(state))
             store = state.d
             if want is None:
@@ -198,11 +197,12 @@ def test_criterion_04_first_blamed_constraint():
     )
     lexico = [("c12", "x1"), ("c12", "x2"), ("c56", "x5"), ("c56", "x6")]
     for order, blamed, spared in ((lexico, "c12", "c56"), (lexico[::-1], "c56", "c12")):
-        ws = WeightStore(p, "wdeg")
+        state = HeuristicState(p, VOHeuristic(), scheme="arc")
+        ws = state.weights
         q = RevisionQueue()
         for elem in order:
             q.add(elem)
-        out = propagate(HeuristicState(p, ws, scheme="arc"), q)
+        out = propagate(state, q)
         assert not out.consistent
         assert ws.snapshot() == {blamed: 2, spared: 1}
     print(
@@ -253,9 +253,8 @@ def test_criterion_07_impact_machinery():
     exercised = 0
     for seed in range(12):
         p = gen_model_d(n=6 + seed % 5, d=3 + seed % 6, e=10, t=0.35, seed=seed)
-        store = ImpactStore()
-        state = HeuristicState(p, WeightStore(p, "wdeg"), store)
-        d = state.d
+        state = HeuristicState(p, VOHeuristic(base="impact"))
+        d, store = state.d, state.impacts
         ok = init_impacts(state)
         if not ok:
             continue

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 
 import pytest
@@ -57,3 +58,26 @@ def test_perfbench_run_carries_its_side_commit(monkeypatch):
     assert got["provenance"] == {"commit": "abc plus uncommitted changes", "seed": 1}
     assert got["compare"] == ["compare wall_s 1.0"]
     assert got["metrics"] == {"wall_s": 1.0} and got["attempted"] == 3
+
+
+def test_against_side_is_written_to_its_own_parent_file(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 35,
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower"}],
+    }))
+    answers = {("rev-parse", "HEAD"): "abc", ("status", "--porcelain", "--untracked-files=no"): ""}
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench, "git", lambda *a: answers.get(a, "def"))
+    monkeypatch.setattr(bench, "extract", lambda commit, dest: None)
+    monkeypatch.setattr(bench, "perfbench", lambda tree, commit, *a: run(1.0, 1.0))
+    assert bench.main(["pr9", "--against", "HEAD~1"]) == 0
+    assert sorted(os.listdir(tmp_path)) == [
+        "BENCHMARK.json", "BENCH_pr9.json", "BENCH_pr9_parent.json",
+    ]
+    mine = json.loads((tmp_path / "BENCH_pr9.json").read_text())
+    theirs = json.loads((tmp_path / "BENCH_pr9_parent.json").read_text())
+    assert (mine["label"], mine["commit"]) == ("pr9", "abc")
+    assert mine["against"]["label"] == theirs["label"] == "pr9_parent"
+    assert mine["against"]["commit"] == theirs["commit"] == "def"
+    assert mine["against"]["wins"] == {"w": {"wall_s": 0}}

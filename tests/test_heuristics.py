@@ -56,8 +56,8 @@ def star_problem():
     )
 
 
-def fresh_state(problem, policy="wdeg", impacts=None, deadline=math.inf):
-    return HeuristicState(problem, WeightStore(problem, policy), impacts, deadline=deadline)
+def fresh_state(problem, heuristic="dom/wdeg", deadline=math.inf):
+    return HeuristicState(problem, parse_heuristic(heuristic), deadline=deadline)
 
 
 def test_heuristic_validation():
@@ -205,47 +205,53 @@ def test_wdegs_equals_wdeg_of_every_variable(policy, make):
 
 def test_score_variable_bases():
     p = star_problem()
-    hstate = fresh_state(p)
-    hstate.weights.weight.update({"c1": 2, "c2": 3})
 
-    assert score_variable(VOHeuristic(base="dom"), "x", hstate) == 2
-    assert score_variable(VOHeuristic(base="deg"), "x", hstate) == -2
-    assert score_variable(VOHeuristic(base="ddeg"), "x", hstate) == -2
-    assert score_variable(VOHeuristic(base="dom+deg"), "x", hstate) == (2, -2)
-    assert score_variable(VOHeuristic(base="dom/ddeg"), "x", hstate) == 1.0
-    assert score_variable(VOHeuristic(base="wdeg"), "x", hstate) == -5
-    assert score_variable(VOHeuristic(base="dom/wdeg"), "x", hstate) == 2 / 5
+    def score(base):
+        # one state per base, all carrying the same weights
+        hstate = fresh_state(p, base)
+        hstate.weights.weight.update({"c1": 2, "c2": 3})
+        return score_variable(hstate, "x")
+
+    assert score("dom") == 2
+    assert score("deg") == -2
+    assert score("ddeg") == -2
+    assert score("dom+deg") == (2, -2)
+    assert score("dom/ddeg") == 1.0
+    assert score("wdeg") == -5
+    assert score("dom/wdeg") == 2 / 5
     # alldel / fully share the ratio formula, only the update policy differs
-    assert score_variable(VOHeuristic(base="alldel"), "x", hstate) == 2 / 5
-    assert score_variable(VOHeuristic(base="fully"), "x", hstate) == 2 / 5
+    assert score("alldel") == 2 / 5
+    assert score("fully") == 2 / 5
 
 
 def test_score_variable_ratio_fallback():
     p = star_problem()
-    hstate = fresh_state(p)
-    hstate.assigned.update(x2=0, x3=0)  # nothing qualifies for x any more
-    assert score_variable(VOHeuristic(base="wdeg"), "x", hstate) == 2.0
-    assert score_variable(VOHeuristic(base="dom/wdeg"), "x", hstate) == 2.0
-    assert score_variable(VOHeuristic(base="dom/ddeg"), "x", hstate) == 2.0
+
+    def score(base):
+        hstate = fresh_state(p, base)
+        hstate.assigned.update(x2=0, x3=0)  # nothing qualifies for x any more
+        return score_variable(hstate, "x")
+
+    assert score("wdeg") == 2.0
+    assert score("dom/wdeg") == 2.0
+    assert score("dom/ddeg") == 2.0
 
 
-@pytest.mark.parametrize("pick", [
-    lambda state, h: select_variable(state, h),
-    lambda state, h: score_variable(h, "x", state),
-])
-def test_impact_base_without_an_impact_store_is_rejected(pick):
-    state = fresh_state(star_problem())  # no impact store
-    with pytest.raises(ValueError) as exc:
-        pick(state, VOHeuristic(base="impact"))
-    assert str(exc.value) == "impact heuristic used without an impact store"
+def test_state_builds_the_stores_of_its_heuristic():
+    p = star_problem()
+    for base in BASES:
+        hstate = fresh_state(p, base)
+        assert hstate.heuristic == VOHeuristic(base=base)
+        assert hstate.weights.policy == weight_policy_for(base)
+        assert hstate.weights.snapshot() == {"c1": 1, "c2": 1}
+        assert (hstate.impacts is not None) == (base == "impact")
 
 
 def test_mdvo_score():
     p = star_problem()
-    hstate = fresh_state(p)
+    hstate = fresh_state(p, "mdvo")
     # alpha = |D|/|neighbors|: alpha(x)=1, alpha(x2)=3, alpha(x3)=4
-    h = VOHeuristic(base="mdvo")
-    assert score_variable(h, "x", hstate) == pytest.approx(9 / 4)
+    assert score_variable(hstate, "x") == pytest.approx(9 / 4)
     # isolated variable: falls back to |D|
     q = Problem(
         name="iso",
@@ -253,8 +259,7 @@ def test_mdvo_score():
         domains={"a": (0, 1, 2), "b": (0, 1, 2), "s": (0, 1)},
         constraints=(pred("c", ("a", "b"), "ne"),),
     )
-    h = VOHeuristic(base="mdvo")
-    assert score_variable(h, "s", fresh_state(q)) == 2.0
+    assert score_variable(fresh_state(q, "mdvo"), "s") == 2.0
 
 
 MDVO_RUN = """
@@ -289,13 +294,13 @@ def test_select_variable_lexico_tie():
         domains={"t1": (0, 1), "t2": (0, 1), "y": (0, 1, 2)},
         constraints=(pred("c1", ("t1", "y"), "ne"), pred("c2", ("t2", "y"), "ne")),
     )
-    hstate = fresh_state(p)
-    assert select_variable(hstate, VOHeuristic(base="dom")) == "t1"
+    hstate = fresh_state(p, "dom")
+    assert select_variable(hstate) == "t1"
     hstate.assigned["t1"] = 0
-    assert select_variable(hstate, VOHeuristic(base="dom")) == "t2"
+    assert select_variable(hstate) == "t2"
     hstate.assigned.update(t2=0, y=0)
     with pytest.raises(ValueError):
-        select_variable(hstate, VOHeuristic(base="dom"))
+        select_variable(hstate)
 
 
 def tiebreak_problem():
@@ -311,19 +316,18 @@ def tiebreak_problem():
 
 def test_rsc_tiebreak_prefers_larger_reduction():
     p = tiebreak_problem()
-    hstate = fresh_state(p)
+    hstate = fresh_state(p, "dom+rsc")
     s = hstate.stats
-    h = VOHeuristic(base="dom", tiebreak="rsc")
-    assert select_variable(hstate, h) == "t2"
+    assert select_variable(hstate) == "t2"
     assert s.checks > 0  # probes are counted against the run
 
 
 def test_node_impact_tiebreak_prefers_larger_impact():
     p = tiebreak_problem()
-    store = ImpactStore()
-    hstate = fresh_state(p, impacts=store)
-    h = VOHeuristic(base="dom", tiebreak="nodeimpact")
-    assert select_variable(hstate, h) == "t2"
+    hstate = fresh_state(p, "dom+nodeimpact")
+    # solve gives a dom state no impact store; a hand-made one records the probes
+    store = hstate.impacts = ImpactStore()
+    assert select_variable(hstate) == "t2"
     # probes were recorded as observations
     assert store.known("t1", 0) and store.known("t2", 1)
 
@@ -342,10 +346,9 @@ def test_tiebreak_probes_prune_wiped_values():
             pred("c3", ("y", "z"), "ne"),
         ),
     )
-    hstate = fresh_state(p)
+    hstate = fresh_state(p, "dom+rsc")
     d = hstate.d
-    h = VOHeuristic(base="dom", tiebreak="rsc")
-    picked = select_variable(hstate, h)
+    picked = select_variable(hstate)
     assert picked == "t1"  # largest total reduction (its bad value wiped a lot)
     assert not d.contains("t1", 1)  # the failed probe value is gone for real
     assert d.contains("t1", 0)
@@ -365,19 +368,17 @@ def test_tiebreak_reports_wipeout_with_none():
         ),
     )
     for tiebreak in ("rsc", "nodeimpact"):
-        hstate = fresh_state(p, impacts=ImpactStore())
-        h = VOHeuristic(base="dom", tiebreak=tiebreak)
-        assert select_variable(hstate, h) is None
+        hstate = fresh_state(p, "dom+" + tiebreak)
+        assert select_variable(hstate) is None
         assert hstate.d.size("t1") == 0
 
 
 def test_single_candidate_skips_probing():
     p = star_problem()
-    hstate = fresh_state(p)
+    hstate = fresh_state(p, "dom+rsc")
     s = hstate.stats
-    h = VOHeuristic(base="dom", tiebreak="rsc")
     # x is the unique argmin; no probe should run
-    assert select_variable(hstate, h) == "x"
+    assert select_variable(hstate) == "x"
     assert s.checks == 0
 
 
@@ -402,10 +403,10 @@ def test_observe_impact_formula():
 
 def test_variable_impact_sums_residuals():
     p = star_problem()
-    store = ImpactStore()
-    store.observe("x", 0, 1.0)
-    store.observe("x", 1, 0.25)
-    assert variable_impact(fresh_state(p, impacts=store), "x") == pytest.approx(0.75)
+    hstate = fresh_state(p, "impact")
+    hstate.impacts.observe("x", 0, 1.0)
+    hstate.impacts.observe("x", 1, 0.25)
+    assert variable_impact(hstate, "x") == pytest.approx(0.75)
 
 
 def test_space_product():
@@ -432,8 +433,8 @@ def test_partition_parts_sizes():
 
 def test_init_impacts_consistent():
     p = gen_model_d(n=6, d=5, e=9, t=0.3, seed=4)
-    store = ImpactStore()
-    hstate = fresh_state(p, impacts=store)
+    hstate = fresh_state(p, "impact")
+    store = hstate.impacts
     d = hstate.d
     ok = init_impacts(hstate)
     assert ok
@@ -455,14 +456,14 @@ def test_init_impacts_detects_inconsistency():
         domains={"x": (0, 1), "y": (0, 1)},
         constraints=(pred("c1", ("x", "y"), "eq"), pred("c2", ("x", "y"), "ne")),
     )
-    store = ImpactStore()
-    hstate = fresh_state(p, impacts=store)
+    hstate = fresh_state(p, "impact")
+    store = hstate.impacts
     assert init_impacts(hstate) is False
 
 
 def test_init_impacts_never_touches_weights():
     p = gen_model_d(n=6, d=4, e=9, t=0.5, seed=11)
-    hstate = fresh_state(p, impacts=ImpactStore())
+    hstate = fresh_state(p, "impact")
     before = hstate.weights.snapshot()
     init_impacts(hstate)
     assert hstate.weights.snapshot() == before
@@ -471,8 +472,8 @@ def test_init_impacts_never_touches_weights():
 def test_weights_never_decrease():
     for policy in ("wdeg", "alldel", "fully"):
         p = gen_model_d(n=8, d=4, e=14, t=0.55, seed=13)
-        ws = WeightStore(p, policy)
-        hstate = HeuristicState(p, ws)
+        hstate = fresh_state(p, policy)
+        ws = hstate.weights
         prev = ws.snapshot()
         from macsolver.propagation import initial_queue, propagate, update_queue
 
@@ -489,19 +490,18 @@ def test_weights_never_decrease():
                 prev = cur
 
 
-def probe_setup(p, policy="wdeg", failures=40, runs=50, deadline=math.inf):
-    ws = WeightStore(p, policy)
-    hstate = HeuristicState(p, ws, deadline=deadline)
-    cfg = ProbeConfig(failures=failures, runs=runs)
-    return hstate.d, ws, hstate, hstate.stats, cfg
+def probe_setup(p, failures=40, runs=50, deadline=math.inf):
+    h = VOHeuristic(probing=ProbeConfig(failures=failures, runs=runs))
+    hstate = HeuristicState(p, h, deadline=deadline)
+    return hstate.d, hstate.weights, hstate, hstate.stats
 
 
 def test_random_probe_deterministic():
     p = gen_queens(6)
     results = []
     for _ in range(2):
-        d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
-        definitive = random_probe(hstate, cfg, 3)
+        d, ws, hstate, s = probe_setup(p, failures=4, runs=6)
+        definitive = random_probe(hstate, 3)
         results.append((ws.snapshot(), definitive, counters(s)))
     assert results[0] == results[1]
     assert results[0][2][0] > 0  # probe attempts count as nodes
@@ -510,8 +510,8 @@ def test_random_probe_deterministic():
 def test_random_probe_pinned_counters():
     # exact counters: the benchmark never runs random probing
     p = gen_queens(6)
-    d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
-    definitive = random_probe(hstate, cfg, 3)
+    d, ws, hstate, s = probe_setup(p, failures=4, runs=6)
+    definitive = random_probe(hstate, 3)
     assert definitive == ("sat", {"q0": 3, "q1": 0, "q2": 4, "q3": 1, "q4": 5, "q5": 2})
     assert {c: w for c, w in ws.snapshot().items() if w > 1} == {"c3": 2}
     assert counters(s) == (7, 461, 18, 1)
@@ -520,8 +520,8 @@ def test_random_probe_pinned_counters():
 def test_random_probe_pinned_cutoffs():
     # every run of an unsat instance ends at the failure cutoff
     p = gen_langford(2, 5)
-    d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
-    definitive = random_probe(hstate, cfg, 3)
+    d, ws, hstate, s = probe_setup(p, failures=4, runs=6)
+    definitive = random_probe(hstate, 3)
     assert definitive is None
     assert {c: w for c, w in ws.snapshot().items() if w > 1} == {
         "c2": 2, "c3": 2, "c6": 3, "c7": 2, "c12": 2, "c16": 2, "c18": 2,
@@ -535,8 +535,8 @@ def test_random_probe_pinned_cutoffs():
 
 def test_random_probe_restores_state():
     p = gen_queens(5)
-    d, ws, hstate, s, cfg = probe_setup(p, failures=3, runs=4)
-    random_probe(hstate, cfg, 1)
+    d, ws, hstate, s = probe_setup(p, failures=3, runs=4)
+    random_probe(hstate, 1)
     assert all(d.size(x) == len(p.domains[x]) for x in p.variables)
     assert hstate.assigned == {}
 
@@ -554,8 +554,8 @@ def test_random_probe_definitive_unsat():
             pred("c3", ("y", "z"), "ne"),
         ),
     )
-    d, ws, hstate, s, cfg = probe_setup(p)
-    definitive = random_probe(hstate, cfg, 0)
+    d, ws, hstate, s = probe_setup(p)
+    definitive = random_probe(hstate, 0)
     assert definitive == ("unsat", None)
 
 
@@ -567,8 +567,8 @@ def test_random_probe_definitive_sat():
         domains={"x": (0, 1), "y": (0, 1)},
         constraints=(pred("c", ("x", "y"), "ne"),),
     )
-    d, ws, hstate, s, cfg = probe_setup(p)
-    definitive = random_probe(hstate, cfg, 0)
+    d, ws, hstate, s = probe_setup(p)
+    definitive = random_probe(hstate, 0)
     assert definitive is not None
     kind, assignment = definitive
     assert kind == "sat"
@@ -577,8 +577,8 @@ def test_random_probe_definitive_sat():
 
 def test_random_probe_accumulates_weights():
     p = gen_model_d(n=8, d=3, e=16, t=0.6, seed=21)
-    d, ws, hstate, s, cfg = probe_setup(p, failures=5, runs=10)
-    definitive = random_probe(hstate, cfg, 5)
+    d, ws, hstate, s = probe_setup(p, failures=5, runs=10)
+    definitive = random_probe(hstate, 5)
     snap = ws.snapshot()
     assert all(w >= 1 for w in snap.values())
     if definitive is None or definitive[0] == "unsat":
@@ -595,24 +595,24 @@ def test_random_probe_reads_no_clock(monkeypatch):
 
     monkeypatch.setattr(search, "time", types.SimpleNamespace(monotonic=counting_clock))
     p = gen_langford(2, 5)
-    d, ws, hstate, s, cfg = probe_setup(p, failures=4, runs=6)
-    assert random_probe(hstate, cfg, 3) is None
+    d, ws, hstate, s = probe_setup(p, failures=4, runs=6)
+    assert random_probe(hstate, 3) is None
     assert counters(s) == (31, 12784, 287, 24)
     assert len(reads) == s.nodes
     # a passed deadline still raises before the first probe node
-    d, ws, hstate, s, cfg = probe_setup(
+    d, ws, hstate, s = probe_setup(
         p, failures=4, runs=6, deadline=time.monotonic() - 1.0
     )
     with pytest.raises(TimeoutError):
-        random_probe(hstate, cfg, 3)
+        random_probe(hstate, 3)
     assert counters(s) == (0, 0, 0, 0)
 
 
 def test_random_probe_deadline():
     p = gen_queens(8)
-    d, ws, hstate, s, cfg = probe_setup(p, deadline=time.monotonic() - 1.0)
+    d, ws, hstate, s = probe_setup(p, deadline=time.monotonic() - 1.0)
     with pytest.raises(TimeoutError):
-        random_probe(hstate, cfg, 0)
+        random_probe(hstate, 0)
 
 
 PROBES = {
@@ -625,7 +625,7 @@ PROBES = {
 @pytest.mark.parametrize("name", sorted(PROBES))
 def test_probes_honour_a_passed_deadline(name):
     p = gen_model_d(n=6, d=5, e=9, t=0.3, seed=4)
-    hstate = fresh_state(p, impacts=ImpactStore(), deadline=time.monotonic() - 1.0)
+    hstate = fresh_state(p, "impact", deadline=time.monotonic() - 1.0)
     s = hstate.stats
     with pytest.raises(TimeoutError):
         PROBES[name](p, hstate)
@@ -641,7 +641,7 @@ def test_probes_restore_state_on_a_timeout_inside_propagation(name, monkeypatch)
     clock = lambda: deadline if next(selections) >= 5 else 0.0  # noqa: E731
     monkeypatch.setattr(propagation, "time", types.SimpleNamespace(monotonic=clock))
     p = gen_model_d(n=6, d=5, e=9, t=0.3, seed=4)
-    hstate = fresh_state(p, impacts=ImpactStore(), deadline=deadline)
+    hstate = fresh_state(p, "impact", deadline=deadline)
     d, s = hstate.d, hstate.stats
     with pytest.raises(TimeoutError):
         PROBES[name](p, hstate)

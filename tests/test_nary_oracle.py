@@ -8,7 +8,7 @@ import pytest
 
 from nary import TABLE_SHAPES, gen_nary
 from oracle import ac_fixpoint, count_solutions
-from macsolver.heuristics import HeuristicState, WeightStore, parse_heuristic
+from macsolver.heuristics import HeuristicState, VOHeuristic, parse_heuristic
 from macsolver.model import PREDICATES, Problem
 from macsolver.propagation import POLICIES_BY_SCHEME, initial_queue, propagate, update_queue
 from macsolver.search import GeometricRestarts, SearchConfig, solve
@@ -26,7 +26,7 @@ COUNTS = [count_solutions(p) for p in INSTANCES]
 
 def unit_state(problem, scheme, policy):
     # unit weights and nothing assigned, as at the start of a solve
-    return HeuristicState(problem, WeightStore(problem), scheme=scheme, policy=policy)
+    return HeuristicState(problem, VOHeuristic(), scheme=scheme, policy=policy)
 
 
 def current(d, problem):

@@ -8,7 +8,7 @@ import pytest
 from nary import gen_nary
 from oracle import ac_fixpoint
 from macsolver import propagation
-from macsolver.heuristics import HeuristicState, WeightStore
+from macsolver.heuristics import HeuristicState, VOHeuristic
 from macsolver.instances import gen_chessboard, gen_model_d
 from macsolver.model import Constraint, DomainStore, Problem, SearchStats
 from macsolver.search import SearchConfig, solve
@@ -45,7 +45,7 @@ def chain_problem():
 
 def unit_state(problem, **setting):
     # unit weights and nothing assigned, as at the start of a solve
-    return HeuristicState(problem, WeightStore(problem), **setting)
+    return HeuristicState(problem, VOHeuristic(), **setting)
 
 
 def run_to_fixpoint(problem, scheme, policy):
@@ -585,11 +585,12 @@ def test_first_revised_constraint_takes_the_blame():
         ([("c12", "x1"), ("c12", "x2"), ("c56", "x5"), ("c56", "x6")], "c12", "c56"),
         ([("c56", "x6"), ("c56", "x5"), ("c12", "x2"), ("c12", "x1")], "c56", "c12"),
     ):
-        ws = WeightStore(p, "wdeg")
+        state = HeuristicState(p, VOHeuristic(), scheme="arc")
+        ws = state.weights
         q = RevisionQueue()
         for elem in order:
             q.add(elem)
-        out = propagate(HeuristicState(p, ws, scheme="arc"), q)
+        out = propagate(state, q)
         assert not out.consistent
         assert out.dwo_constraint == blamed
         assert ws.get(blamed) == 2
@@ -598,8 +599,8 @@ def test_first_revised_constraint_takes_the_blame():
 
 def test_update_weights_false_freezes_store():
     p = example1_problem()
-    ws = WeightStore(p, "wdeg")
-    state = HeuristicState(p, ws, scheme="arc")
+    state = HeuristicState(p, VOHeuristic(), scheme="arc")
+    ws = state.weights
     out = propagate(state, initial_queue(state), update_weights=False)
     assert not out.consistent
     assert ws.snapshot() == {"c12": 1, "c56": 1}

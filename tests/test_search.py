@@ -115,6 +115,14 @@ def test_search_config_validation():
         SearchConfig(timeout=0)
 
 
+def test_search_config_rejects_a_heuristic_or_restarts_given_as_text():
+    # solve would fail deep inside on either; the message names the parser
+    with pytest.raises(TypeError, match="heuristic must be a VOHeuristic.*parse_heuristic"):
+        SearchConfig(heuristic="dom/wdeg")
+    with pytest.raises(TypeError, match="restarts must be None.*parse_restarts"):
+        SearchConfig(restarts="geo:10:1.5")
+
+
 def test_order_values_lex():
     p = Problem(
         name="p",
@@ -253,23 +261,63 @@ def test_timeout():
 
 
 def test_default_weight_store_always_maintained(monkeypatch):
-    import macsolver.search as search_mod
+    import macsolver.heuristics as heuristics_mod
 
     created = []
-    real = search_mod.WeightStore
+    real = heuristics_mod.WeightStore
 
     def counting(problem, policy="wdeg"):
         ws = real(problem, policy)
         created.append(policy)
         return ws
 
-    monkeypatch.setattr(search_mod, "WeightStore", counting)
+    monkeypatch.setattr(heuristics_mod, "WeightStore", counting)
     p = gen_langford(2, 4)
     out = solve(p, SearchConfig(heuristic=VOHeuristic(base="dom"), mode="decide"))
     assert created == ["wdeg"]  # one store per solve, default policy
     assert out.result == "sat"
     # dom is not conflict-driven, yet the store tracked the run's conflicts
     assert sum(out.weights.snapshot().values()) >= len(p.constraints)
+
+
+def test_a_finished_solve_leaves_no_state_alive(monkeypatch):
+    # a state in a reference cycle (say, holding a closure over itself)
+    # outlives its solve until the cycle collector runs, and repeated solves
+    # then grow the peak memory; with the collector off, reference counting
+    # alone must free every state
+    import gc
+    import weakref
+
+    import macsolver.heuristics as heuristics_mod
+
+    refs = []
+    real = heuristics_mod.HeuristicState.__init__
+
+    def recording(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(heuristics_mod.HeuristicState, "__init__", recording)
+    names = ("dom/wdeg", "impact", "dom/wdeg+rsc", "dom/wdeg+probe")
+    pairs = [(s, p) for s, pols in POLICIES_BY_SCHEME.items() for p in pols]
+    p = gen_langford(2, 4)
+    restarted = dict(mode="decide", restarts=GeometricRestarts(2, 1.5), value_order="rand")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for i, (scheme, policy) in enumerate(pairs):
+            h = parse_heuristic(names[i % len(names)])
+            for mode in (dict(mode="count"), restarted):
+                solve(p, SearchConfig(heuristic=h, scheme=scheme, policy=policy, **mode))
+        out = solve(gen_queens(8), SearchConfig(mode="count", timeout=0.05))
+        # read before the collector is back on, since it may run at once
+        alive = [ref() is not None for ref in refs]
+    finally:
+        if enabled:
+            gc.enable()
+    assert out.result == "timeout"
+    assert len(alive) == 2 * len(pairs) + 1
+    assert not any(alive)
 
 
 def test_weight_policy_follows_base():

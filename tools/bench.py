@@ -7,9 +7,9 @@ For each workload in BENCHMARK.json it runs ``perfbench/run.py --trace 0``
 with seeds 1..10, then one ``--trace 1 --seconds 1`` run. With ``--against``
 it also extracts COMMIT's tree into a temporary directory and runs it the
 same way: run i of each side forms pair i, and the side that runs first
-alternates from pair to pair. That side is written to BENCH_parent.json, and
-LABEL's file counts, per end-to-end metric, the pairs in which LABEL's run
-was better.
+alternates from pair to pair. That side is written to BENCH_<LABEL>_parent.json,
+so each run keeps its own, and LABEL's file names it and counts, per
+end-to-end metric, the pairs in which LABEL's run was better.
 
 Each file holds, per workload: every end-to-end metric's median, quartiles
 and runs; ``attempted`` per run (case runs, which ``peak_rss_mb`` and
@@ -33,7 +33,6 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 600
 PAIRS = 10
-OTHER_LABEL = "parent"
 
 
 def perfbench(
@@ -131,8 +130,6 @@ def main(argv=None) -> int:
     ap.add_argument("label")
     ap.add_argument("--against", metavar="COMMIT")
     args = ap.parse_args(argv)
-    if args.against and args.label == OTHER_LABEL:
-        ap.error(f"LABEL must differ from {OTHER_LABEL!r} with --against")
     head = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     sides = [(args.label, ROOT, head + (" plus uncommitted changes" if dirty else ""))]
@@ -140,7 +137,7 @@ def main(argv=None) -> int:
         if args.against:
             commit = git("rev-parse", "--verify", args.against + "^{commit}")
             extract(commit, tmp)
-            sides.append((OTHER_LABEL, tmp, commit))
+            sides.append((args.label + "_parent", tmp, commit))
         runs = {label: {w: [] for w in names} for label, _, _ in sides}
         traced = {label: {} for label, _, _ in sides}
         for w in names:
@@ -162,12 +159,11 @@ def main(argv=None) -> int:
             },
         }
         if label == args.label and args.against:
+            other, _, other_commit = sides[1]
             doc["against"] = {
-                "label": OTHER_LABEL,
-                "commit": sides[1][2],
-                "wins": {
-                    w: wins(runs[label][w], runs[OTHER_LABEL][w], better) for w in names
-                },
+                "label": other,
+                "commit": other_commit,
+                "wins": {w: wins(runs[label][w], runs[other][w], better) for w in names},
             }
         write(label, doc)
     return 0
