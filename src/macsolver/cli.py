@@ -3,7 +3,8 @@
 Subcommands: solve one instance, run a benchmark sweep from a JSON spec,
 report node-count variance from a results CSV. Exit codes from solve:
 0 satisfiable, 1 unsatisfiable, 2 timeout, 3 any error, internal ones
-included.
+included. bench exits 3 on a bad spec, writing no CSV, and also after
+writing every row when a run raised (its row's result is error).
 """
 
 from __future__ import annotations
@@ -115,6 +116,11 @@ def _cmd_bench(args) -> int:
     print(f"{len(rows)} rows written to {args.out}")
     if args.table:
         print(format_table(rows))
+    # every row is written first; a run that raised must not read as a clean sweep
+    errors = sum(row.result == "error" for row in rows)
+    if errors:
+        print(f"error: {errors} row(s) of {args.out} are runs that raised", file=sys.stderr)
+        return 3
     return 0
 
 

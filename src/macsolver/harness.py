@@ -8,6 +8,7 @@ import json
 import logging
 import math
 import statistics
+import time
 from dataclasses import dataclass, fields, replace
 from itertools import product
 from pathlib import Path
@@ -32,9 +33,10 @@ def _count(text: str) -> int | float:
 
 
 def _result(text: str) -> str:
-    # a run is sat, unsat or timeout; a seed group whose runs disagree is mixed
-    if text not in ("sat", "unsat", "timeout", "mixed"):
-        raise ValueError(f"{text!r} is not sat, unsat, timeout or mixed")
+    # a run is sat, unsat or timeout, or error when it raised; a seed group
+    # whose runs disagree is mixed
+    if text not in ("sat", "unsat", "timeout", "error", "mixed"):
+        raise ValueError(f"{text!r} is not sat, unsat, timeout, error or mixed")
     return text
 
 
@@ -112,10 +114,21 @@ class ExperimentSpec:
     timeout: float = 3600.0
 
     def __post_init__(self) -> None:
+        """Check every field, whether the spec came from JSON or from Python."""
         for f in fields(self):
+            value = getattr(self, f.name)
             if f.name == "timeout":
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise ValueError("experiment field 'timeout' must be a number")
+                if not value > 0:  # NaN fails the comparison
+                    raise ValueError("experiment field 'timeout' must be positive")
                 continue
-            values = getattr(self, f.name)
+            kind = int if f.name == "seeds" else str
+            # type() rather than isinstance(): a bool is no seed
+            if not isinstance(value, (list, tuple)) or any(type(v) is not kind for v in value):
+                raise ValueError(f"experiment field {f.name!r} must be a list of {kind.__name__}")
+            values = tuple(value)
+            setattr(self, f.name, values)
             if not values:
                 raise ValueError(f"experiment field {f.name!r} must not be empty")
             parse = _ENTRY_PARSERS.get(f.name, lambda v: v)
@@ -134,30 +147,14 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        """Parse a JSON object; every list field holds strings, seeds ints."""
+        """Parse a JSON object of spec fields; __post_init__ checks their values."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("experiment spec must be a JSON object")
         extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown experiment field(s) {sorted(extra)}")
-        kwargs = {}
-        for name, value in doc.items():
-            if name == "timeout":
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ValueError("experiment field 'timeout' must be a number")
-                if not value > 0:
-                    raise ValueError("experiment field 'timeout' must be positive")
-                kwargs[name] = value
-                continue
-            kind = int if name == "seeds" else str
-            # type() rather than isinstance(): a JSON true is no seed
-            if not isinstance(value, list) or any(type(v) is not kind for v in value):
-                raise ValueError(
-                    f"experiment field {name!r} must be a list of {kind.__name__}"
-                )
-            kwargs[name] = tuple(value)
-        return cls(**kwargs)
+        return cls(**doc)
 
 
 def load_instance(source: str) -> model.Problem:
@@ -177,7 +174,9 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
     pairs that do not fit are skipped with a warning. Random value-order
     configs get one row per seed plus an averaged row. A seed changes a run
     only through random value order or +probe, so a config with neither is
-    solved once and that outcome fills every seed's row.
+    solved once and that outcome fills every seed's row. A run that raises
+    is logged and recorded as result "error", with the time until the raise
+    and counters 0, and the sweep goes on.
     """
     for scheme, rev in product(spec.schemes, spec.rev_policies):
         if rev not in POLICIES_BY_SCHEME[scheme]:
@@ -209,16 +208,34 @@ def run_experiment(spec: ExperimentSpec) -> list[ResultRow]:
             outcome = None
             for cfg in cfgs:
                 if outcome is None or seeded:
-                    outcome = solve(problem, cfg)
+                    outcome = _run(problem, cfg, var_heur, restart)
+                result, stats = outcome
                 group.append(ResultRow(
                     problem.name, cfg.scheme, var_heur, cfg.policy, restart,
-                    cfg.value_order, cfg.seed, outcome.result,
-                    **{col: getattr(outcome.stats, col) for col in _MEASURED},
+                    cfg.value_order, cfg.seed, result,
+                    **{col: getattr(stats, col) for col in _MEASURED},
                 ))
             rows.extend(group)
             if cfgs[0].value_order == "rand" and len(group) > 1:
                 rows.append(_averaged(group))
     return rows
+
+
+def _run(
+    problem: model.Problem, cfg: SearchConfig, var_heur: str, restart: str
+) -> tuple[str, model.SearchStats]:
+    """One run's result and counters; "error" and the time until a raise."""
+    start = time.monotonic()
+    try:
+        outcome = solve(problem, cfg)
+    except Exception as err:
+        log.warning(
+            "%s under %s / %s / %s / %s / %s seed %s raised %s: %s; recorded as error",
+            problem.name, cfg.scheme, var_heur, cfg.policy, restart, cfg.value_order,
+            cfg.seed, type(err).__name__, err, exc_info=True,
+        )
+        return "error", model.SearchStats(time_ms=(time.monotonic() - start) * 1000.0)
+    return outcome.result, outcome.stats
 
 
 def _averaged(group: list[ResultRow]) -> ResultRow:
@@ -317,18 +334,18 @@ def dependency_report(rows: list[ResultRow]) -> list[tuple]:
     per-policy mean when several seeds are present) and reports the
     population variance across the three, as the group's REPORT_KEY values
     followed by the variance. Groups missing a policy, groups in which a run
-    of one of those policies timed out (its node count is not the tree's),
-    and groups of a scheme without dependency policies, are skipped with a
-    warning.
+    of one of those policies timed out or raised (its node count is not the
+    tree's), and groups of a scheme without dependency policies, are skipped
+    with a warning.
     """
     by_group: dict[tuple, dict[str, list[float]]] = {}
-    timed_out: set[tuple] = set()  # (group key, policy) of a timed-out run
+    unfinished: set[tuple] = set()  # (group key, policy, result) of a run
     for row in rows:
         if row.seed != "avg":
             key = tuple(getattr(row, col) for col in REPORT_KEY)
             by_group.setdefault(key, {}).setdefault(row.rev_heur, []).append(float(row.nodes))
-            if row.result == "timeout":
-                timed_out.add((key, row.rev_heur))
+            if row.result in ("timeout", "error"):
+                unfinished.add((key, row.rev_heur, row.result))
     report = []
     for key, cell in by_group.items():
         label = " / ".join(key)
@@ -340,11 +357,13 @@ def dependency_report(rows: list[ResultRow]) -> list[tuple]:
         if missing:
             log.warning("dependency report: %s missing %s, skipped", label, ", ".join(missing))
             continue
-        late = [p for p in policies if (key, p) in timed_out]
-        if late:
-            log.warning(
-                "dependency report: %s timed out under %s, skipped", label, ", ".join(late)
-            )
+        spoiled = [
+            f"{verb} under {', '.join(late)}"
+            for result, verb in (("timeout", "timed out"), ("error", "raised an error"))
+            if (late := [p for p in policies if (key, p, result) in unfinished])
+        ]
+        if spoiled:
+            log.warning("dependency report: %s %s, skipped", label, "; ".join(spoiled))
             continue
         points = [statistics.fmean(cell[p]) for p in policies]
         report.append((*key, variance(points)))

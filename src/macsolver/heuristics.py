@@ -168,7 +168,8 @@ class HeuristicState:
     for the impact base, else None), the assignment (variable to value) and
     the propagation setting: the scheme of every queue built from it, the
     revision policy and the deadline. A policy that does not fit the scheme
-    raises ValueError here, so propagate need not check it.
+    raises ValueError here, so propagate need not check it; a heuristic that
+    is not a VOHeuristic (such as its name) raises TypeError.
     """
 
     def __init__(
@@ -179,6 +180,10 @@ class HeuristicState:
         policy: str = "fifo",
         deadline: float = math.inf,
     ):
+        if not isinstance(heuristic, VOHeuristic):
+            raise TypeError(
+                f"heuristic must be a VOHeuristic, not {heuristic!r}; use parse_heuristic"
+            )
         validate_policy(scheme, policy)
         self.problem = problem
         self.heuristic = heuristic

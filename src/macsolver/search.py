@@ -239,9 +239,12 @@ def random_probe(state: HeuristicState, seed: int) -> tuple[str, dict | None] | 
     Weights accumulate across probes under the active update policy.
     Returns a definitive ("sat", assignment) or ("unsat", None) when a probe
     happens to settle the instance, else None. The search loop checks the
-    deadline before each node, so a passed one raises TimeoutError.
+    deadline before each node, so a passed one raises TimeoutError. A state
+    whose heuristic has no +probe raises ValueError.
     """
     cfg = state.heuristic.probing
+    if cfg is None:
+        raise ValueError(f"random_probe needs a +probe heuristic, not {state.heuristic!r}")
     rng = random.Random(seed)
     stats, assigned = state.stats, state.assigned
     solution: dict[str, int] = {}

@@ -35,6 +35,51 @@ def test_wins_count_better_pairs_by_direction_ties_for_neither():
     assert got == {"wall_s": 1, "passed_share": 1}
 
 
+def walls(values):
+    return [run(v, 1.0) for v in values]
+
+
+WALL = {"wall_s": {"better": "lower", "bound": 0.25}}
+PARENT = [10.0, 10.1, 9.9, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0, 10.0]
+# median 10, quartiles 5 and 15: a spread twice the 25% bound
+WIDE = [5.0, 5.0, 5.0, 10.0, 10.0, 10.0, 10.0, 15.0, 15.0, 15.0]
+
+
+@pytest.mark.parametrize(
+    "mine, theirs, gain, regression",
+    [
+        # better in 10 of 10 pairs, by far more than the parent's quartile distance
+        ([v - 3.0 for v in PARENT], PARENT, True, "none"),
+        # better in 8 of 10 pairs only
+        ([v - 3.0 for v in PARENT[:8]] + [10.5, 10.5], PARENT, False, "none"),
+        # better in every pair, but by less than the quartile distance
+        ([v - 0.01 for v in PARENT], PARENT, False, "none"),
+        # the median is 30% worse, past the 25% bound
+        ([v * 1.3 for v in PARENT], PARENT, False, "worse"),
+        # level medians, but the parent's quartiles spread past the bound
+        ([10.0] * 10, WIDE, False, "unresolved"),
+        # the same spread, but every run of mine beats every parent run; its
+        # median gains 6, inside the quartile distance of 10, so no gain
+        ([4.0] * 10, WIDE, False, "none"),
+    ],
+)
+def test_verdicts_read_each_outcome(mine, theirs, gain, regression):
+    got = bench.verdicts(walls(mine), walls(theirs), WALL)
+    assert got == {"wall_s": {"gain": gain, "regression": regression}}
+
+
+def test_verdicts_respect_a_metric_where_higher_is_better():
+    share = {"passed_share": {"better": "higher", "bound": 0.01}}
+    mine = [run(1.0, 0.9) for _ in range(10)]
+    theirs = [run(1.0, 1.0) for _ in range(10)]
+    assert bench.verdicts(mine, theirs, share) == {
+        "passed_share": {"gain": False, "regression": "worse"},
+    }
+    assert bench.verdicts(theirs, mine, share) == {
+        "passed_share": {"gain": True, "regression": "none"},
+    }
+
+
 def test_workload_record_keeps_every_run():
     traced = run(0.0, 1.0)
     traced["metrics"] = {"revisions": 7}
@@ -64,7 +109,7 @@ def test_against_side_is_written_to_its_own_parent_file(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 35,
         "workloads": [{"name": "w"}],
-        "end_to_end": [{"name": "wall_s", "better": "lower"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
     }))
     answers = {("rev-parse", "HEAD"): "abc", ("status", "--porcelain", "--untracked-files=no"): ""}
     monkeypatch.setattr(bench, "ROOT", str(tmp_path))
@@ -81,3 +126,4 @@ def test_against_side_is_written_to_its_own_parent_file(tmp_path, monkeypatch):
     assert mine["against"]["label"] == theirs["label"] == "pr9_parent"
     assert mine["against"]["commit"] == theirs["commit"] == "def"
     assert mine["against"]["wins"] == {"w": {"wall_s": 0}}
+    assert mine["against"]["verdict"] == {"w": {"wall_s": {"gain": False, "regression": "none"}}}

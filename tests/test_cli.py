@@ -281,6 +281,40 @@ def test_bench_writes_csv(tmp_path, capsys):
     assert f"{len(rows)} rows written" in out
 
 
+def test_bench_writes_every_row_then_exits_three_when_a_run_raised(
+    tmp_path, capsys, monkeypatch, caplog
+):
+    real_solve = solve
+
+    def broken_dom(problem, cfg):
+        if cfg.policy == "dom":
+            raise RuntimeError("boom")
+        return real_solve(problem, cfg)
+
+    monkeypatch.setattr("macsolver.harness.solve", broken_dom)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({
+        "instances": ["queens:n=4", "queens:n=5"],
+        "var_heurs": ["dom"],
+        "rev_policies": ["fifo", "dom", "v_dom/wdeg"],
+    }))
+    out_path = tmp_path / "rows.csv"
+    code, out, err = run(capsys, "bench", str(spec_path), "--out", str(out_path))
+    assert code == 3
+    assert "6 rows written" in out
+    assert err.rstrip().splitlines()[-1] == f"error: 2 row(s) of {out_path} are runs that raised"
+    # each raise is logged with its traceback
+    raised = [rec for rec in caplog.records if "recorded as error" in rec.message]
+    assert len(raised) == 2 and all(rec.exc_info for rec in raised)
+    rows = read_csv(out_path)
+    assert [(r.instance, r.rev_heur, r.result) for r in rows] == [
+        ("queens-4", "fifo", "sat"), ("queens-4", "dom", "error"),
+        ("queens-4", "v_dom/wdeg", "sat"),
+        ("queens-5", "fifo", "sat"), ("queens-5", "dom", "error"),
+        ("queens-5", "v_dom/wdeg", "sat"),
+    ]
+
+
 def test_bench_table_flag(tmp_path, capsys):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(

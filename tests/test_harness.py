@@ -183,6 +183,35 @@ def test_experiment_spec_from_json_accepts_an_infinite_timeout():
     assert ExperimentSpec.from_json(text).timeout == float("inf")
 
 
+_ONE = {"instances": ["queens:n=4"], "var_heurs": ["dom"]}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"instances": "queens:n=4", "var_heurs": ["dom"]}, "'instances' must be a list of str"),
+        ({**_ONE, "var_heurs": ["dom", 3]}, "'var_heurs' must be a list of str"),
+        ({**_ONE, "seeds": 3}, "'seeds' must be a list of int"),
+        ({**_ONE, "seeds": [0, True]}, "'seeds' must be a list of int"),
+        ({**_ONE, "timeout": "60"}, "'timeout' must be a number"),
+        ({**_ONE, "timeout": float("nan")}, "'timeout' must be positive"),
+        ({**_ONE, "timeout": 0}, "'timeout' must be positive"),
+        ({**_ONE, "timeout": -5}, "'timeout' must be positive"),
+        ({**_ONE, "timeout": float("-inf")}, "'timeout' must be positive"),
+    ],
+)
+def test_experiment_spec_checks_a_field_alike_from_json_and_from_python(doc, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec.from_json(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(**doc)
+
+
+def test_experiment_spec_stores_list_fields_as_tuples():
+    spec = ExperimentSpec(**_ONE, seeds=[0, 1])
+    assert (spec.instances, spec.var_heurs, spec.seeds) == (("queens:n=4",), ("dom",), (0, 1))
+
+
 def test_load_instance_spec_and_file(tmp_path):
     p = load_instance("queens:n=4")
     assert p.name == "queens-4"
@@ -296,6 +325,54 @@ def test_run_experiment_solves_a_seed_blind_config_once(monkeypatch):
         ("dom/wdeg+probe", "rand", 2, "sat", 7, 975, 27, 1),
         ("dom/wdeg+probe", "rand", "avg", "sat", 20 / 3, 2698 / 3, 24.0, 2 / 3),
     ]
+
+
+def test_run_experiment_records_a_run_that_raises_and_goes_on(monkeypatch, caplog):
+    # every dom run raises, and fifo's second seed under rand values; each
+    # raise costs one row, not the sweep
+    calls = []
+    real_solve = harness.solve
+
+    def solve(problem, cfg):
+        calls.append(cfg)
+        if cfg.policy == "dom" or (cfg.policy, cfg.value_order, cfg.seed) == ("fifo", "rand", 1):
+            raise RuntimeError("boom")
+        return real_solve(problem, cfg)
+
+    monkeypatch.setattr(harness, "solve", solve)
+    spec = ExperimentSpec(
+        instances=("queens:n=4",),
+        var_heurs=("dom",),
+        rev_policies=("fifo", "dom", "v_dom/wdeg"),
+        value_orders=("lex", "rand"),
+        seeds=(0, 1),
+    )
+    with caplog.at_level(logging.WARNING):
+        rows = run_experiment(spec)
+    # a lex config is still solved once: its error fills both seeds' rows
+    assert len(calls) == 9
+    assert [(r.rev_heur, r.value_order, r.seed, r.result) for r in rows] == [
+        ("fifo", "lex", 0, "sat"), ("fifo", "lex", 1, "sat"),
+        ("fifo", "rand", 0, "sat"), ("fifo", "rand", 1, "error"), ("fifo", "rand", "avg", "mixed"),
+        ("dom", "lex", 0, "error"), ("dom", "lex", 1, "error"),
+        ("dom", "rand", 0, "error"), ("dom", "rand", 1, "error"), ("dom", "rand", "avg", "error"),
+        ("v_dom/wdeg", "lex", 0, "sat"), ("v_dom/wdeg", "lex", 1, "sat"),
+        ("v_dom/wdeg", "rand", 0, "sat"), ("v_dom/wdeg", "rand", 1, "sat"),
+        ("v_dom/wdeg", "rand", "avg", "sat"),
+    ]
+    for row in rows:
+        if row.result == "error":
+            assert (row.nodes, row.checks, row.revisions, row.dwos) == (0, 0, 0, 0)
+            assert row.time_ms >= 0.0
+        elif row.result == "sat":
+            assert row.nodes > 0
+    warnings = [rec.message for rec in caplog.records]
+    assert len(warnings) == 4
+    assert warnings[0] == (
+        "queens-4 under variable / dom / fifo / none / rand seed 1 raised RuntimeError: boom;"
+        " recorded as error"
+    )
+    assert read_csv_text(csv_text(rows)) == rows
 
 
 def test_no_average_for_lex_or_single_seed():
@@ -485,6 +562,28 @@ def test_dependency_report_skips_groups_with_a_timed_out_run(caplog):
         " timed out under dom, skipped",
         "dependency report: queens-5 / variable / dom / none / lex"
         " timed out under fifo, v_dom/wdeg, skipped",
+    ]
+
+
+def test_dependency_report_skips_groups_with_a_run_that_raised(caplog):
+    # an error row's counters are zeros, not a tree
+    rows = [
+        make_row(rev_heur="fifo", nodes=10),
+        make_row(rev_heur="dom", result="error", nodes=0),
+        make_row(rev_heur="v_dom/wdeg", result="timeout", nodes=12),
+        make_row(instance="queens-5", rev_heur="fifo", nodes=4),
+        make_row(instance="queens-5", rev_heur="dom", nodes=6),
+        make_row(instance="queens-5", rev_heur="v_dom/wdeg", nodes=5),
+        make_row(instance="queens-5", rev_heur="v_wdeg", result="error", nodes=0),
+    ]
+    with caplog.at_level(logging.WARNING):
+        report = dependency_report(rows)
+    assert report == [
+        ("queens-5", "variable", "dom", "none", "lex", pytest.approx(variance([4, 6, 5]))),
+    ]
+    assert [rec.message for rec in caplog.records] == [
+        "dependency report: queens-4 / variable / dom / none / lex"
+        " timed out under v_dom/wdeg; raised an error under dom, skipped",
     ]
 
 

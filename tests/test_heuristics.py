@@ -247,6 +247,13 @@ def test_state_builds_the_stores_of_its_heuristic():
         assert (hstate.impacts is not None) == (base == "impact")
 
 
+def test_state_rejects_a_heuristic_given_as_text():
+    # it would fail deep inside on the name's missing base; the message
+    # names the parser, as SearchConfig's does
+    with pytest.raises(TypeError, match="heuristic must be a VOHeuristic.*parse_heuristic"):
+        HeuristicState(gen_queens(4), "dom/wdeg")
+
+
 def test_mdvo_score():
     p = star_problem()
     hstate = fresh_state(p, "mdvo")
@@ -606,6 +613,13 @@ def test_random_probe_reads_no_clock(monkeypatch):
     with pytest.raises(TimeoutError):
         random_probe(hstate, 3)
     assert counters(s) == (0, 0, 0, 0)
+
+
+def test_random_probe_needs_a_probe_heuristic():
+    hstate = HeuristicState(gen_queens(4), VOHeuristic())
+    with pytest.raises(ValueError, match=r"\+probe"):
+        random_probe(hstate, 0)
+    assert counters(hstate.stats) == (0, 0, 0, 0)
 
 
 def test_random_probe_deadline():

@@ -9,7 +9,10 @@ it also extracts COMMIT's tree into a temporary directory and runs it the
 same way: run i of each side forms pair i, and the side that runs first
 alternates from pair to pair. That side is written to BENCH_<LABEL>_parent.json,
 so each run keeps its own, and LABEL's file names it and counts, per
-end-to-end metric, the pairs in which LABEL's run was better.
+end-to-end metric, the pairs in which LABEL's run was better. Its
+``verdict`` then reads each metric as a review of the change would: a
+``gain`` or not, and a ``regression`` of ``worse``, ``unresolved`` or
+``none`` (see ``verdicts``).
 
 Each file holds, per workload: every end-to-end metric's median, quartiles
 and runs; ``attempted`` per run (case runs, which ``peak_rss_mb`` and
@@ -95,6 +98,39 @@ def wins(mine: list[dict], theirs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def verdicts(mine: list[dict], theirs: list[dict], metrics: dict[str, dict]) -> dict:
+    """Per end-to-end metric, how `mine` reads against `theirs`, run i against run i.
+
+    gain: `mine` is better in at least 9 of 10 pairs, and its median beats
+    the parent's by more than the parent's quartile distance (q3 - q1).
+    regression: "worse" when the median of `mine` is worse than the parent's
+    by more than the metric's bound (a share of the parent's median);
+    otherwise "unresolved" when the parent's quartile distance is wider than
+    the bound, unless every run of `mine` reads better than every parent run;
+    otherwise "none". `metrics` maps a name to its BENCHMARK.json entry.
+    """
+    won = wins(mine, theirs, {k: m["better"] for k, m in metrics.items()})
+    out = {}
+    for k, m in metrics.items():
+        sign = -1 if m["better"] == "lower" else 1
+        ours = [r["metrics"][k] for r in mine]
+        parent = summary([r["metrics"][k] for r in theirs])
+        ahead = sign * (statistics.median(ours) - parent["median"])  # > 0: better
+        spread = parent["q3"] - parent["q1"]
+        allowed = m["bound"] * abs(parent["median"])
+        # every run of `mine` better than every parent run
+        apart = min(sign * v for v in ours) > max(sign * v for v in parent["runs"])
+        if -ahead > allowed:
+            regression = "worse"
+        elif spread > allowed and not apart:
+            regression = "unresolved"
+        else:
+            regression = "none"
+        gain = won[k] * 10 >= 9 * len(mine) and ahead > spread
+        out[k] = {"gain": gain, "regression": regression}
+    return out
+
+
 def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
@@ -124,7 +160,8 @@ def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     names = [w["name"] for w in spec["workloads"]]
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
+    better = {k: m["better"] for k, m in metrics.items()}
     seconds = spec["run_seconds"]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("label")
@@ -164,6 +201,9 @@ def main(argv=None) -> int:
                 "label": other,
                 "commit": other_commit,
                 "wins": {w: wins(runs[label][w], runs[other][w], better) for w in names},
+                "verdict": {
+                    w: verdicts(runs[label][w], runs[other][w], metrics) for w in names
+                },
             }
         write(label, doc)
     return 0
