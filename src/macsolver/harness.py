@@ -9,7 +9,7 @@ import logging
 import math
 import statistics
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -154,6 +154,9 @@ class ExperimentSpec:
         extra = set(doc) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown experiment field(s) {sorted(extra)}")
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in doc]
+        if missing:
+            raise ValueError(f"missing experiment field(s) {missing}")
         return cls(**doc)
 
 

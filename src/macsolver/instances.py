@@ -9,17 +9,20 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations, compress
+from typing import Iterable
 
 from .model import Constraint, Problem
 
 
-def _problem(name: str, variables: tuple[str, ...], size: int, specs: list[dict]) -> Problem:
+def _problem(name: str, variables: tuple[str, ...], size: int, specs: Iterable[dict]) -> Problem:
     """Assemble a generated instance over uniform domains ``range(size)``.
 
     Each spec holds one constraint's keyword arguments except its id; the
-    constraints are numbered c0, c1, ... in the order given.
+    constraints are numbered c0, c1, ... in the order given. The specs are
+    read once, in order, so the generators yield them rather than list them;
+    every variable shares one domain tuple.
     """
-    domains = {x: tuple(range(size)) for x in variables}
+    domains = dict.fromkeys(variables, tuple(range(size)))
     constraints = tuple(Constraint(id=f"c{i}", **spec) for i, spec in enumerate(specs))
     return Problem(name, variables, domains, constraints)
 
@@ -58,23 +61,25 @@ def _random_binary(n: int, d: int, e: int, t: float, seed: int, planted: bool) -
     # one tuple per value pair, shared by every table of the instance
     pairs = [(a, b) for a in range(d) for b in range(d)]
     draw = rng.random
-    # random.sample reads its population only through len and indexing, so
-    # sampling pair indices draws what sampling the pair list would draw
-    specs = []
-    for k in rng.sample(range(max_pairs), e):
-        i, j = _nth_pair(n, k)
-        live = pairs
-        if planted:
-            # the planted pair is never forbidden and takes no draw
-            kept = values[i] * d + values[j]
-            live = pairs[:kept] + pairs[kept + 1 :]
-        # one draw per live pair, in lexicographic order
-        forbidden = frozenset(compress(live, [draw() < t for _ in live]))
-        specs.append(
-            dict(scope=(variables[i], variables[j]), kind="forbidden", tuples=forbidden)
-        )
+
+    def specs():
+        # random.sample reads its population only through len and indexing, so
+        # sampling pair indices draws what sampling the pair list would draw;
+        # nothing else draws from rng, so the draws keep their order even
+        # though _problem consumes these specs one at a time
+        for k in rng.sample(range(max_pairs), e):
+            i, j = _nth_pair(n, k)
+            live = pairs
+            if planted:
+                # the planted pair is never forbidden and takes no draw
+                kept = values[i] * d + values[j]
+                live = pairs[:kept] + pairs[kept + 1 :]
+            # one draw per live pair, in lexicographic order
+            forbidden = frozenset(compress(live, [draw() < t for _ in live]))
+            yield dict(scope=(variables[i], variables[j]), kind="forbidden", tuples=forbidden)
+
     name = f"{'modelRB' if planted else 'modelD'}-{n}-{d}-{e}-{t}-{seed}"
-    return _problem(name, variables, d, specs)
+    return _problem(name, variables, d, specs())
 
 
 def _nth_pair(n: int, k: int) -> tuple[int, int]:
@@ -101,18 +106,17 @@ def gen_langford(k: int, n: int) -> Problem:
         raise ValueError("need k >= 2 and n >= 1")
     size = k * n
     variables = tuple(f"p{i}_{j}" for i in range(n) for j in range(k))
-    specs = [
-        dict(scope=pair, kind="predicate", pred="ne")
-        for pair in combinations(variables, 2)
-    ]
-    for i in range(n):
-        gap = i + 2
-        table = frozenset((q, q + gap) for q in range(size - gap))
-        specs.extend(
-            dict(scope=(f"p{i}_{j}", f"p{i}_{j + 1}"), kind="allowed", tuples=table)
-            for j in range(k - 1)
-        )
-    return _problem(f"langford-{k}-{n}", variables, size, specs)
+
+    def specs():
+        for pair in combinations(variables, 2):
+            yield dict(scope=pair, kind="predicate", pred="ne")
+        for i in range(n):
+            gap = i + 2
+            table = frozenset((q, q + gap) for q in range(size - gap))
+            for j in range(k - 1):
+                yield dict(scope=(f"p{i}_{j}", f"p{i}_{j + 1}"), kind="allowed", tuples=table)
+
+    return _problem(f"langford-{k}-{n}", variables, size, specs())
 
 
 def gen_queens(n: int) -> Problem:
@@ -120,12 +124,14 @@ def gen_queens(n: int) -> Problem:
     if n < 1:
         raise ValueError("need n >= 1")
     variables = tuple(f"q{i}" for i in range(n))
-    specs = []
-    for i, j in combinations(range(n), 2):
-        scope = (variables[i], variables[j])
-        specs.append(dict(scope=scope, kind="predicate", pred="ne"))
-        specs.append(dict(scope=scope, kind="predicate", pred="dist_ne", k=j - i))
-    return _problem(f"queens-{n}", variables, n, specs)
+
+    def specs():
+        for i, j in combinations(range(n), 2):
+            scope = (variables[i], variables[j])
+            yield dict(scope=scope, kind="predicate", pred="ne")
+            yield dict(scope=scope, kind="predicate", pred="dist_ne", k=j - i)
+
+    return _problem(f"queens-{n}", variables, n, specs())
 
 
 def gen_chessboard(rows: int, cols: int, colors: int) -> Problem:
@@ -137,7 +143,7 @@ def gen_chessboard(rows: int, cols: int, colors: int) -> Problem:
         raise ValueError("need rows >= 2, cols >= 2, colors >= 1")
     variables = tuple(f"s{r}_{c}" for r in range(rows) for c in range(cols))
     same = frozenset((a, a, a, a) for a in range(colors))
-    specs = [
+    specs = (
         dict(
             scope=(f"s{r1}_{c1}", f"s{r1}_{c2}", f"s{r2}_{c1}", f"s{r2}_{c2}"),
             kind="forbidden",
@@ -145,7 +151,7 @@ def gen_chessboard(rows: int, cols: int, colors: int) -> Problem:
         )
         for r1, r2 in combinations(range(rows), 2)
         for c1, c2 in combinations(range(cols), 2)
-    ]
+    )
     return _problem(f"cc-{rows}-{cols}-{colors}", variables, colors, specs)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable
 
@@ -54,8 +55,13 @@ class Constraint:
         if len(set(self.scope)) != len(self.scope):
             raise InstanceError(f"constraint {self.id}: repeated variable in scope")
         if self.kind in ("allowed", "forbidden"):
+            if self.pred is not None or self.k is not None:
+                raise InstanceError(f"constraint {self.id}: table kinds take no pred")
             if self.tuples is None:
                 raise InstanceError(f"constraint {self.id}: missing tuple table")
+            if type(self.tuples) is not frozenset:
+                # the test closure reads the table, so it must not change
+                raise InstanceError(f"constraint {self.id}: tuple table must be a frozenset")
             arity = len(self.scope)
             bad = set(map(len, self.tuples)) - {arity}
             if bad:
@@ -68,6 +74,8 @@ class Constraint:
             else:
                 self.test = lambda t: t not in table
         elif self.kind == "predicate":
+            if self.tuples is not None:
+                raise InstanceError(f"constraint {self.id}: predicate kind takes no tuples")
             if len(self.scope) != 2:
                 raise InstanceError(f"constraint {self.id}: predicates are binary")
             if self.pred not in PREDICATES:
@@ -90,17 +98,21 @@ class Constraint:
 
 @dataclass(eq=True)
 class Problem:
-    """An immutable CSP instance plus derived lookup structures."""
+    """An immutable CSP instance plus derived lookup structures.
+
+    ``var_index`` and ``constraints_on`` are built with the instance, which
+    checks its structure. ``neighborhood`` and ``by_id`` are built on first
+    read and then kept, since only some heuristics and schemes read them.
+    ``dataclasses.replace`` builds a new instance, which derives its own.
+    """
 
     name: str
     variables: tuple[str, ...]
     domains: dict[str, tuple[int, ...]]
     constraints: tuple[Constraint, ...]
-    neighborhood: dict[str, frozenset[str]] = field(init=False, compare=False, repr=False)
     constraints_on: dict[str, tuple[Constraint, ...]] = field(
         init=False, compare=False, repr=False
     )
-    by_id: dict[str, Constraint] = field(init=False, compare=False, repr=False)
     var_index: dict[str, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -117,7 +129,6 @@ class Problem:
             raise InstanceError("domain table does not match variable list")
         seen_ids: set[str] = set()
         on: dict[str, list[Constraint]] = {x: [] for x in self.variables}
-        nb: dict[str, set[str]] = {x: set() for x in self.variables}
         for c in self.constraints:
             if c.id in seen_ids:
                 raise InstanceError(f"duplicate constraint id {c.id}")
@@ -126,10 +137,20 @@ class Problem:
                 if x not in self.var_index:
                     raise InstanceError(f"constraint {c.id}: unknown variable {x}")
                 on[x].append(c)
-                nb[x].update(y for y in c.scope if y != x)
         self.constraints_on = {x: tuple(cs) for x, cs in on.items()}
-        self.neighborhood = {x: frozenset(s) for x, s in nb.items()}
-        self.by_id = {c.id: c for c in self.constraints}
+
+    @cached_property
+    def neighborhood(self) -> dict[str, frozenset[str]]:
+        """Each variable's neighbors: the variables it shares a constraint with."""
+        return {
+            x: frozenset(y for c in cs for y in c.scope if y != x)
+            for x, cs in self.constraints_on.items()
+        }
+
+    @cached_property
+    def by_id(self) -> dict[str, Constraint]:
+        """Each constraint under its id."""
+        return {c.id: c for c in self.constraints}
 
 
 def neighbors(problem: Problem, x: str) -> frozenset[str]:

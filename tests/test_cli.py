@@ -194,6 +194,17 @@ def test_bench_rejects_a_nan_timeout_before_any_run(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_bench_names_a_missing_spec_field_as_a_spec_error(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text('{"instances": ["queens:n=4"]}')
+    out_path = tmp_path / "rows.csv"
+    code, _, err = run(capsys, "bench", str(spec_path), "--out", str(out_path))
+    assert code == 3
+    assert "error: missing experiment field(s) ['var_heurs']" in err
+    assert "internal" not in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_a_geometric_cutoff_past_the_float_range_runs_unlimited(capsys):
     code, out, err = run(
         capsys, "solve", "langford:k=2,n=5", "--mode", "decide", "--restart", "geo:2:1e308"

@@ -1,9 +1,11 @@
 import json
 import operator
 import random
+from dataclasses import replace
 
 import pytest
 
+from macsolver.instances import gen_chessboard, gen_langford, gen_model_d, gen_model_rb, gen_queens
 from macsolver.model import (
     Constraint,
     DomainStore,
@@ -52,6 +54,22 @@ def test_constraint_validation():
         Constraint(id="c", scope=("x", "y"), kind="nosuch")
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(kind="predicate", pred="ne", tuples=frozenset({(1, 2)})), "takes no tuples"),
+        (dict(kind="allowed", tuples=frozenset({(1, 2)}), pred="ne"), "take no pred"),
+        (dict(kind="forbidden", tuples=frozenset({(1, 2)}), k=1), "take no pred"),
+        # a mutable table would change under the constraint's test
+        (dict(kind="allowed", tuples={(1, 2)}), "must be a frozenset"),
+        (dict(kind="forbidden", tuples=[(1, 2)]), "must be a frozenset"),
+    ],
+)
+def test_constraint_rejects_a_field_its_kind_does_not_keep(fields, message):
+    with pytest.raises(InstanceError, match=message):
+        Constraint(id="c", scope=("x", "y"), **fields)
+
+
 def test_problem_validation():
     with pytest.raises(InstanceError):
         Problem(name="p", variables=("x", "x"), domains={"x": (1,)}, constraints=())
@@ -89,6 +107,41 @@ def test_problem_lookup_tables():
     assert neighbors(p, "x") == {"y"}
     with pytest.raises(InstanceError):
         neighbors(p, "nope")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gen_model_d(8, 4, 14, 0.5, 3),
+        lambda: gen_model_rb(8, 4, 14, 0.5, 1),
+        lambda: gen_langford(2, 4),
+        lambda: gen_queens(5),
+        lambda: gen_chessboard(3, 3, 2),
+        lambda: load_problem(dump_problem(make_problem())),
+    ],
+    ids=["modelD", "modelRB", "langford", "queens", "chessboard", "load_problem"],
+)
+def test_neighborhood_and_by_id_are_built_on_first_read(build):
+    p = build()
+    assert "neighborhood" not in vars(p) and "by_id" not in vars(p)
+    want_nb = {x: set() for x in p.variables}
+    for c in p.constraints:
+        for x in c.scope:
+            want_nb[x].update(y for y in c.scope if y != x)
+    assert p.neighborhood == want_nb
+    assert "neighborhood" in vars(p) and "by_id" not in vars(p)
+    assert p.by_id == {c.id: c for c in p.constraints}
+    assert p.by_id is p.by_id and p.neighborhood is p.neighborhood
+
+
+def test_a_replaced_problem_derives_its_own_maps():
+    p = make_problem()
+    assert p.neighborhood and p.by_id  # read, so p keeps both
+    q = replace(p, constraints=(pred("cxz", ("x", "z"), "ne"),))
+    assert "neighborhood" not in vars(q) and "by_id" not in vars(q)
+    assert q.neighborhood == {"x": {"z"}, "y": set(), "z": {"x"}}
+    assert list(q.by_id) == ["cxz"]
+    assert list(p.by_id) == ["cxy", "cyz"]
 
 
 def test_check_tuple_counts_and_validates():
