@@ -145,6 +145,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
+    except MemoryError:
+        # a memory limit hit while building or solving is no crash: name the input
+        source = {"solve": "instance", "bench": "spec", "report": "results"}[args.command]
+        print(f"error: out of memory on {getattr(args, source)}", file=sys.stderr)
+        return 3
     except Exception as err:  # a crash must never read as an answer (exit 1)
         traceback.print_exc()
         print(f"error: internal {type(err).__name__}: {err}", file=sys.stderr)

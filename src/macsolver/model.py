@@ -13,30 +13,33 @@ from functools import cached_property
 from itertools import product
 from typing import Callable, Iterable
 
-PREDICATES = ("eq", "ne", "lt", "le", "gt", "ge", "dist_ne", "dist_gt")
-
-# Each is a Constraint.test itself, so a check costs one Python call.
-_PLAIN_PREDS: dict[str, Callable[[tuple[int, ...]], bool]] = {
-    "eq": lambda t: t[0] == t[1],
-    "ne": lambda t: t[0] != t[1],
-    "lt": lambda t: t[0] < t[1],
-    "le": lambda t: t[0] <= t[1],
-    "gt": lambda t: t[0] > t[1],
-    "ge": lambda t: t[0] >= t[1],
+# One shared test per predicate name, called as test(t, k); k is None for
+# all but dist_ne and dist_gt
+_PRED_TESTS: dict[str, Callable[[tuple[int, ...], int | None], bool]] = {
+    "eq": lambda t, k: t[0] == t[1],
+    "ne": lambda t, k: t[0] != t[1],
+    "lt": lambda t, k: t[0] < t[1],
+    "le": lambda t, k: t[0] <= t[1],
+    "gt": lambda t, k: t[0] > t[1],
+    "ge": lambda t, k: t[0] >= t[1],
+    "dist_ne": lambda t, k: abs(t[0] - t[1]) != k,
+    "dist_gt": lambda t, k: abs(t[0] - t[1]) > k,
 }
+PREDICATES = tuple(_PRED_TESTS)
 
 
 class InstanceError(ValueError):
     """Malformed instance text or inconsistent problem structure."""
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Constraint:
     """One constraint: an id, a variable scope, and a relation.
 
     ``kind`` is "allowed", "forbidden", or "predicate". Table kinds carry a
     frozenset of value tuples; the predicate kind carries a predicate name and,
-    for dist_ne/dist_gt, an integer parameter k.
+    for dist_ne/dist_gt, an integer parameter k. A constraint holds only this
+    data plus its ``arity``; ``check_tuple`` reads it for every check.
     """
 
     id: str
@@ -45,14 +48,13 @@ class Constraint:
     tuples: frozenset[tuple[int, ...]] | None = None
     pred: str | None = None
     k: int | None = None
-    test: Callable[[tuple[int, ...]], bool] = field(
-        init=False, repr=False, compare=False
-    )
+    arity: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.scope) < 2:
+        self.arity = arity = len(self.scope)
+        if arity < 2:
             raise InstanceError(f"constraint {self.id}: arity must be at least 2")
-        if len(set(self.scope)) != len(self.scope):
+        if len(set(self.scope)) != arity:
             raise InstanceError(f"constraint {self.id}: repeated variable in scope")
         if self.kind in ("allowed", "forbidden"):
             if self.pred is not None or self.k is not None:
@@ -60,40 +62,33 @@ class Constraint:
             if self.tuples is None:
                 raise InstanceError(f"constraint {self.id}: missing tuple table")
             if type(self.tuples) is not frozenset:
-                # the test closure reads the table, so it must not change
+                # every check reads the table, so it must not change
                 raise InstanceError(f"constraint {self.id}: tuple table must be a frozenset")
-            arity = len(self.scope)
             bad = set(map(len, self.tuples)) - {arity}
             if bad:
                 raise InstanceError(
                     f"constraint {self.id}: tuple width {min(bad)} != arity {arity}"
                 )
-            table = self.tuples
-            if self.kind == "allowed":
-                self.test = lambda t: t in table
-            else:
-                self.test = lambda t: t not in table
         elif self.kind == "predicate":
             if self.tuples is not None:
                 raise InstanceError(f"constraint {self.id}: predicate kind takes no tuples")
-            if len(self.scope) != 2:
+            if arity != 2:
                 raise InstanceError(f"constraint {self.id}: predicates are binary")
             if self.pred not in PREDICATES:
                 raise InstanceError(f"constraint {self.id}: unknown predicate {self.pred!r}")
             if self.pred in ("dist_ne", "dist_gt"):
                 if self.k is None:
                     raise InstanceError(f"constraint {self.id}: predicate {self.pred} needs k")
-                k = self.k
-                if self.pred == "dist_ne":
-                    self.test = lambda t: abs(t[0] - t[1]) != k
-                else:
-                    self.test = lambda t: abs(t[0] - t[1]) > k
-            else:
-                if self.k is not None:
-                    raise InstanceError(f"constraint {self.id}: predicate {self.pred} takes no k")
-                self.test = _PLAIN_PREDS[self.pred]
+            elif self.k is not None:
+                raise InstanceError(f"constraint {self.id}: predicate {self.pred} takes no k")
         else:
             raise InstanceError(f"constraint {self.id}: unknown kind {self.kind!r}")
+
+    def test(self, t: tuple[int, ...]) -> bool:
+        """Whether the value tuple t satisfies the constraint; counts no check."""
+        if self.tuples is None:
+            return _PRED_TESTS[self.pred](t, self.k)
+        return (t in self.tuples) is (self.kind == "allowed")
 
 
 @dataclass(eq=True)
@@ -174,36 +169,42 @@ class SearchStats:
 
 
 def check_tuple(constraint: Constraint, values: tuple[int, ...], stats) -> bool:
-    """Test one value tuple against a constraint, counting exactly one check."""
-    if len(values) != len(constraint.scope):
+    """Test one value tuple against a constraint, counting exactly one check.
+
+    It tests inline what ``Constraint.test`` tests, so a check costs one call.
+    """
+    if len(values) != constraint.arity:
         raise InstanceError(
-            f"constraint {constraint.id}: tuple width {len(values)} != arity {len(constraint.scope)}"
+            f"constraint {constraint.id}: tuple width {len(values)} != arity {constraint.arity}"
         )
     stats.checks += 1
-    return constraint.test(values)
+    table = constraint.tuples
+    if table is None:
+        return _PRED_TESTS[constraint.pred](values, constraint.k)
+    return (values in table) is (constraint.kind == "allowed")
 
 
-def seek_support(
-    c: Constraint, i: int, a: int, others: list[list[int]], stats
-) -> bool:
+def seek_support(c: Constraint, i: int, a: int, row: list, stats) -> bool:
     """Search a supporting tuple for value a at scope position i of c.
 
-    `others` holds the live values of c's other scope variables, in scope
-    order without position i. It is valid only while those domains do not
-    change. Enumeration is lexicographic over `others`, so check counts are
-    deterministic.
+    `row` holds the live values of every scope variable of c, in scope
+    order. It is valid only while those domains do not change. The n-ary
+    case sets row[i] to (a,), so the caller hands over a row it owns; the
+    binary case leaves it as it is. Enumeration is lexicographic over the
+    other positions, so check counts are deterministic.
     """
-    if len(others) == 1:
+    if c.arity == 2:
         if i == 0:
-            for b in others[0]:
+            for b in row[1]:
                 if check_tuple(c, (a, b), stats):
                     return True
         else:
-            for b in others[0]:
+            for b in row[0]:
                 if check_tuple(c, (b, a), stats):
                     return True
         return False
-    for t in product(*others[:i], (a,), *others[i:]):
+    row[i] = (a,)
+    for t in product(*row):
         if check_tuple(c, t, stats):
             return True
     return False

@@ -194,21 +194,21 @@ def update_queue(state, x: str, removed: int) -> RevisionQueue:
     return q
 
 
-def revise(d: DomainStore, c: Constraint, x: str, stats, live: list[list[int]]) -> int:
-    """Remove the values of x without support on c; returns the removal count.
+def revise(d: DomainStore, c: Constraint, i: int, stats, live: list[list[int]]) -> int:
+    """Remove the values of c's i-th scope variable without support on c.
 
-    `live` holds the live values of every scope variable in scope order, as
-    read by the caller. Only x loses values while x is revised, so x's scope
-    position and the other variables' values (`others`) stay valid for the
-    whole revision. Once x loses a value, `live` is stale at x's position and
-    the caller must read D(x) again before passing it on.
+    Returns the removal count. `live` holds the live values of every scope
+    variable in scope order, as read by the caller; revise copies it once
+    into the row that seek_support fills. Only the revised variable loses
+    values, so the other positions stay valid for the whole revision. Once
+    it loses a value, `live` is stale at position i and the caller must read
+    that domain again before passing it on.
     """
-    scope = c.scope
-    i = scope.index(x)
-    others = live[:i] + live[i + 1:]
+    x = c.scope[i]
+    row = live.copy()
     removed = 0
     for a in live[i]:
-        if not seek_support(c, i, a, others, stats):
+        if not seek_support(c, i, a, row, stats):
             d.remove(x, a)
             removed += 1
     return removed
@@ -273,7 +273,8 @@ def propagate(state, queue: RevisionQueue, update_weights: bool = True) -> Propa
         if arc:
             cid, x = elem
             c = problem.by_id[cid]
-            removed = revise(d, c, x, stats, [d.current(y) for y in c.scope])
+            live = [d.current(y) for y in c.scope]
+            removed = revise(d, c, c.scope.index(x), stats, live)
             if removed > 0 and (wiped := revised(c, x, removed)):
                 return wiped
             continue
@@ -297,7 +298,7 @@ def propagate(state, queue: RevisionQueue, update_weights: bool = True) -> Propa
             for j, y in enumerate(scope):
                 if y == redundant:
                     continue
-                removed = revise(d, c, y, stats, live)
+                removed = revise(d, c, j, stats, live)
                 if removed > 0:
                     if wiped := revised(c, y, removed):
                         return wiped

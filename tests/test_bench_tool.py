@@ -127,3 +127,49 @@ def test_against_side_is_written_to_its_own_parent_file(tmp_path, monkeypatch):
     assert mine["against"]["commit"] == theirs["commit"] == "def"
     assert mine["against"]["wins"] == {"w": {"wall_s": 0}}
     assert mine["against"]["verdict"] == {"w": {"wall_s": {"gain": False, "regression": "none"}}}
+
+
+def test_calls_differ_names_each_traced_count_that_moved():
+    mine = {
+        "model.check_tuple.calls": 5, "heuristics.wdeg.calls.select_next": 3,
+        "revisions": 7, "dwos": 2, "search.restarts": 1,
+        "model.check_tuple.self_s": 0.5, "model.checks_per_support": 1.5,
+    }
+    theirs = dict(mine, dwos=3, **{
+        "heuristics.wdeg.calls.select_next": 4,
+        "model.check_tuple.self_s": 0.7, "model.checks_per_support": 1.25,
+    })
+    del theirs["search.restarts"]
+    # times and ratios may differ; counts may not
+    assert bench.calls_differ(mine, theirs) == {
+        "dwos": [2, 3],
+        "heuristics.wdeg.calls.select_next": [3, 4],
+        "search.restarts": [1, None],
+    }
+    assert bench.calls_differ(mine, dict(mine)) == {}
+
+
+def test_against_block_holds_calls_differ_per_workload(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 35,
+        "workloads": [{"name": "w"}, {"name": "v"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+    }))
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench, "git", lambda *a: "" if a[0] == "status" else "abc")
+    monkeypatch.setattr(bench, "extract", lambda commit, dest: None)
+
+    def fake(tree, commit, workload, seed, seconds, trace):
+        out = run(1.0, 1.0)
+        if trace:
+            # the parent's tree calls revise once more on workload w only
+            extra = tree != str(tmp_path) and workload == "w"
+            out["metrics"] = {"propagation.revise.calls": 10 + extra, "revisions": 4}
+        return out
+
+    monkeypatch.setattr(bench, "perfbench", fake)
+    assert bench.main(["pr9", "--against", "HEAD~1"]) == 0
+    mine = json.loads((tmp_path / "BENCH_pr9.json").read_text())
+    assert mine["against"]["calls_differ"] == {
+        "w": {"propagation.revise.calls": [10, 11]}, "v": {},
+    }

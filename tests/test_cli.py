@@ -51,6 +51,26 @@ def test_solve_timeout_exit_two(capsys):
     assert "result: timeout" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "queens:n=300", "--timeout", "1e-6", "--mode", "decide"),
+    ("bench", "spec.json", "--out", "rows.csv"),
+])
+def test_out_of_memory_names_the_input_without_a_traceback(
+    monkeypatch, capsys, tmp_path, argv
+):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "spec.json").write_text('{"instances": ["queens:n=4"], "var_heurs": ["dom"]}')
+    monkeypatch.setattr(cli, "load_instance", exhausted)
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err == f"error: out of memory on {argv[1]}\n"
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def fake_clock(monkeypatch, *readings):
     # the CLI's clock returns the given readings, one per call
     ticks = iter(readings)

@@ -1,12 +1,18 @@
+import copy
+import itertools
 import json
 import operator
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
+from nary import gen_nary
+from macsolver import model
 from macsolver.instances import gen_chessboard, gen_langford, gen_model_d, gen_model_rb, gen_queens
 from macsolver.model import (
+    PREDICATES,
     Constraint,
     DomainStore,
     InstanceError,
@@ -18,6 +24,7 @@ from macsolver.model import (
     neighbors,
     seek_support,
 )
+from macsolver.search import SearchConfig, solve
 
 
 def pred(cid, scope, name, k=None):
@@ -109,7 +116,8 @@ def test_problem_lookup_tables():
         neighbors(p, "nope")
 
 
-@pytest.mark.parametrize(
+# one instance per generator family plus one read from its JSON text
+FAMILIES = pytest.mark.parametrize(
     "build",
     [
         lambda: gen_model_d(8, 4, 14, 0.5, 3),
@@ -121,6 +129,9 @@ def test_problem_lookup_tables():
     ],
     ids=["modelD", "modelRB", "langford", "queens", "chessboard", "load_problem"],
 )
+
+
+@FAMILIES
 def test_neighborhood_and_by_id_are_built_on_first_read(build):
     p = build()
     assert "neighborhood" not in vars(p) and "by_id" not in vars(p)
@@ -142,6 +153,84 @@ def test_a_replaced_problem_derives_its_own_maps():
     assert q.neighborhood == {"x": {"z"}, "y": set(), "z": {"x"}}
     assert list(q.by_id) == ["cxz"]
     assert list(p.by_id) == ["cxy", "cyz"]
+
+
+@FAMILIES
+def test_a_problem_round_trips_through_pickle_deepcopy_and_replace(build):
+    p = build()
+    cfg = SearchConfig(mode="count")
+    want = solve(p, cfg)
+    for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), replace(p)):
+        assert q == p and q is not p
+        assert [c.arity for c in q.constraints] == [len(c.scope) for c in q.constraints]
+        got = solve(q, cfg)
+        assert (got.result, got.count) == (want.result, want.count)
+        assert (got.stats.nodes, got.stats.checks, got.stats.revisions) == (
+            want.stats.nodes, want.stats.checks, want.stats.revisions,
+        )
+
+
+def test_a_constraint_holds_only_data():
+    for c in (
+        Constraint("a", ("x", "y"), "allowed", frozenset({(1, 2)})),
+        Constraint("f", ("x", "y", "z"), "forbidden", frozenset({(1, 2, 3)})),
+        pred("p", ("x", "y"), "lt"),
+        pred("d", ("x", "y"), "dist_gt", k=1),
+    ):
+        assert not hasattr(c, "__dict__")
+        assert not any(callable(getattr(c, f.name)) for f in fields(c))
+        assert c.arity == len(c.scope)
+        twin = Constraint(c.id, c.scope, c.kind, c.tuples, c.pred, c.k)
+        twin.arity = 99
+        assert twin == c and repr(twin) == repr(c)
+        assert "arity" not in repr(c)
+
+
+def test_constraint_test_agrees_with_check_tuple_and_counts_no_check(monkeypatch):
+    pairs = list(itertools.product(range(-2, 3), repeat=2))
+    table = frozenset(t for t in pairs if (3 * t[0] + t[1]) % 4 == 1)
+    reference = {
+        **{name: getattr(operator, name) for name in ("eq", "ne", "lt", "le", "gt", "ge")},
+        "dist_ne": lambda a, b: abs(a - b) != 1,
+        "dist_gt": lambda a, b: abs(a - b) > 1,
+        "allowed": lambda a, b: (a, b) in table,
+        "forbidden": lambda a, b: (a, b) not in table,
+    }
+    cs = [pred(n, ("x", "y"), n, k=1 if n.startswith("dist") else None) for n in PREDICATES]
+    cs += [Constraint(kind, ("x", "y"), kind, table) for kind in ("allowed", "forbidden")]
+    assert sorted(c.id for c in cs) == sorted(reference)
+    s = SearchStats()
+    for c in cs:
+        for t in pairs:
+            with monkeypatch.context() as m:
+                m.setattr(model, "check_tuple", None)  # test must not go through it
+                verdict = c.test(t)
+            assert verdict is reference[c.id](*t), (c.id, t)
+            assert check_tuple(c, t, s) is verdict, (c.id, t)
+    assert s.checks == len(cs) * len(pairs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_seek_support_counts_the_checks_of_a_lexicographic_scan(seed):
+    # the checks counter depends on the enumeration order: the product of
+    # the row in scope order, position i fixed to a, up to the first support
+    p = gen_nary(seed)
+    full = DomainStore(p)
+    shrunk = DomainStore(p)
+    for x in p.variables:
+        if shrunk.size(x) > 2:
+            shrunk.remove(x, shrunk.current(x)[0])  # the last value moves first
+    for d in (full, shrunk):
+        for c in p.constraints:
+            live = [d.current(y) for y in c.scope]
+            for i in range(c.arity):
+                for a in live[i]:
+                    scan = list(itertools.product(*live[:i], (a,), *live[i + 1:]))
+                    first = next((n for n, t in enumerate(scan, 1) if c.test(t)), None)
+                    s = SearchStats()
+                    found = seek_support(c, i, a, list(live), s)
+                    assert found is (first is not None), (c.id, i, a)
+                    assert s.checks == (first or len(scan)), (c.id, i, a)
 
 
 def test_check_tuple_counts_and_validates():
@@ -206,11 +295,11 @@ def test_seek_support_binary():
     d = DomainStore(p)
     c = p.constraints[0]  # x < y
     s = SearchStats()
-    ys, xs = [d.current("y")], [d.current("x")]
-    assert seek_support(c, 0, 1, ys, s) is True
-    assert seek_support(c, 0, 3, ys, s) is False
-    assert seek_support(c, 1, 1, xs, s) is False
-    assert seek_support(c, 1, 3, xs, s) is True
+    row = [d.current("x"), d.current("y")]
+    assert seek_support(c, 0, 1, row, s) is True
+    assert seek_support(c, 0, 3, row, s) is False
+    assert seek_support(c, 1, 1, row, s) is False
+    assert seek_support(c, 1, 3, row, s) is True
     assert s.checks > 0
 
 
@@ -221,7 +310,8 @@ def test_seek_support_respects_current_domain():
     d.remove("y", 2)
     d.remove("y", 3)
     s = SearchStats()
-    assert seek_support(c, 0, 1, [d.current("y")], s) is False  # only y=1 left
+    row = [d.current("x"), d.current("y")]
+    assert seek_support(c, 0, 1, row, s) is False  # only y=1 left
 
 
 def test_seek_support_nary():
@@ -239,9 +329,9 @@ def test_seek_support_nary():
     )
     d = DomainStore(p)
     s = SearchStats()
-    others = [d.current("x"), d.current("y")]
-    assert seek_support(c, 2, 2, others, s) is True
-    assert seek_support(c, 2, 1, others, s) is False
+    row = [d.current("x"), d.current("y"), d.current("z")]
+    assert seek_support(c, 2, 2, row, s) is True
+    assert seek_support(c, 2, 1, row, s) is False
 
 
 def test_domain_store_basics():

@@ -63,9 +63,9 @@ def test_revise_removes_unsupported():
     d = DomainStore(p)
     s = SearchStats()
     c = p.by_id["cxy"]
-    assert revise(d, c, "x", s, scope_read(d, c)) == 1  # x=3 has no y above it
+    assert revise(d, c, 0, s, scope_read(d, c)) == 1  # x=3 has no y above it
     assert sorted(d.current("x")) == [1, 2]
-    assert revise(d, c, "x", s, scope_read(d, c)) == 0  # already supported
+    assert revise(d, c, 0, s, scope_read(d, c)) == 0  # already supported
 
 
 @pytest.mark.parametrize("size", [1, 3, 7])
@@ -99,11 +99,11 @@ def test_revise_reads_each_domain_once(monkeypatch, size):
     monkeypatch.setattr(DomainStore, "current", counted)
     for p in (binary, nary):
         c = p.constraints[0]
-        for x in c.scope:  # x at every scope position, 0 and 1 included
+        for i, x in enumerate(c.scope):  # x at every scope position, 0 and 1 included
             d = DomainStore(p)
             reads.clear()
             # the caller's read is the only one: revise reads no domain
-            revise(d, c, x, SearchStats(), scope_read(d, c))
+            revise(d, c, i, SearchStats(), scope_read(d, c))
             assert reads == {y: 1 for y in c.scope}, (p.name, x)
 
 
@@ -277,10 +277,10 @@ def test_propagate_reads_each_scope_domain_once_per_constraint(monkeypatch, sche
         processed.append(c)
         return real_needs(q, c)
 
-    def counted_revise(d, c, x, *rest):
-        removed = real_revise(d, c, x, *rest)
+    def counted_revise(d, c, i, *rest):
+        removed = real_revise(d, c, i, *rest)
         if removed:
-            fruitful.append(x)
+            fruitful.append(c.scope[i])
         return removed
 
     def counted_select(q, key):

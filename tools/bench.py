@@ -12,7 +12,10 @@ so each run keeps its own, and LABEL's file names it and counts, per
 end-to-end metric, the pairs in which LABEL's run was better. Its
 ``verdict`` then reads each metric as a review of the change would: a
 ``gain`` or not, and a ``regression`` of ``worse``, ``unresolved`` or
-``none`` (see ``verdicts``).
+``none`` (see ``verdicts``). Its ``calls_differ`` names, per workload, every
+traced count that differs between the two traced runs (see ``calls_differ``):
+empty on every workload for a change that keeps the solver's work
+bit-identical.
 
 Each file holds, per workload: every end-to-end metric's median, quartiles
 and runs; ``attempted`` per run (case runs, which ``peak_rss_mb`` and
@@ -36,6 +39,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RUN_TIMEOUT_S = 600
 PAIRS = 10
+# traced counters of solver events that a pure speed-up leaves unchanged,
+# besides every ".calls" metric
+EVENT_COUNTS = ("revisions", "dwos", "search.restarts")
 
 
 def perfbench(
@@ -131,6 +137,19 @@ def verdicts(mine: list[dict], theirs: list[dict], metrics: dict[str, dict]) -> 
     return out
 
 
+def calls_differ(mine: dict, theirs: dict) -> dict:
+    """Per-layer counts that differ between two traced runs: name -> [mine, theirs].
+
+    The counts are every ``.calls`` metric (``.calls.<caller>`` included) and
+    EVENT_COUNTS; a count missing on one side reads None there.
+    """
+    names = sorted(
+        k for k in set(mine) | set(theirs)
+        if k.endswith(".calls") or ".calls." in k or k in EVENT_COUNTS
+    )
+    return {k: [mine.get(k), theirs.get(k)] for k in names if mine.get(k) != theirs.get(k)}
+
+
 def git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
@@ -203,6 +222,10 @@ def main(argv=None) -> int:
                 "wins": {w: wins(runs[label][w], runs[other][w], better) for w in names},
                 "verdict": {
                     w: verdicts(runs[label][w], runs[other][w], metrics) for w in names
+                },
+                "calls_differ": {
+                    w: calls_differ(traced[label][w]["metrics"], traced[other][w]["metrics"])
+                    for w in names
                 },
             }
         write(label, doc)
