@@ -26,13 +26,12 @@ from .harness import (
     run_experiment,
     write_csv,
 )
-from .heuristics import WeightStore, parse_heuristic
+from .heuristics import parse_heuristic
 from .propagation import SCHEMES
 from .search import (
     MODES,
     VALUE_ORDERS,
     SearchConfig,
-    SearchOutcome,
     SearchStats,
     parse_restarts,
     solve,
@@ -90,22 +89,22 @@ def _cmd_solve(args) -> int:
     problem = load_instance(args.instance)
     left = cfg.timeout - (time.monotonic() - start)
     if left > 0:
-        outcome = solve(problem, replace(cfg, timeout=left))
+        out = solve(problem, replace(cfg, timeout=left))
+        result, s, count, solution = out.result, out.stats, out.count, out.solution
     else:
-        outcome = SearchOutcome("timeout", None, 0, SearchStats(), WeightStore(problem))
-    s = outcome.stats
+        result, s, count, solution = "timeout", SearchStats(), 0, None
     print(f"instance: {problem.name}")
-    print(f"result: {outcome.result}")
+    print(f"result: {result}")
     if args.mode == "count":
-        print(f"solutions: {outcome.count}")
-    elif args.mode == "first" and outcome.solution is not None:
-        listing = " ".join(f"{x}={outcome.solution[x]}" for x in problem.variables)
+        print(f"solutions: {count}")
+    elif args.mode == "first" and solution is not None:
+        listing = " ".join(f"{x}={solution[x]}" for x in problem.variables)
         print(f"solution: {listing}")
     print(
         f"nodes: {s.nodes}  checks: {s.checks}  revisions: {s.revisions}  "
         f"dwos: {s.dwos}  restarts: {s.restarts}  time_ms: {s.time_ms:.1f}"
     )
-    return {"sat": 0, "unsat": 1, "timeout": 2}[outcome.result]
+    return {"sat": 0, "unsat": 1, "timeout": 2}[result]
 
 
 def _cmd_bench(args) -> int:
@@ -146,14 +145,17 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except MemoryError:
-        # a memory limit hit while building or solving is no crash: name the input
-        source = {"solve": "instance", "bench": "spec", "report": "results"}[args.command]
-        print(f"error: out of memory on {getattr(args, source)}", file=sys.stderr)
-        return 3
+        # reported after this block: its traceback holds the failed command's
+        # frames and all they built, so printing here can run out again (exit 1)
+        pass
     except Exception as err:  # a crash must never read as an answer (exit 1)
         traceback.print_exc()
         print(f"error: internal {type(err).__name__}: {err}", file=sys.stderr)
         return 3
+    # a memory limit hit while building or solving is no crash: name the input
+    source = {"solve": "instance", "bench": "spec", "report": "results"}[args.command]
+    print(f"error: out of memory on {getattr(args, source)}", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -2,9 +2,10 @@
 
 Three schemes share one revision loop: the pending queue holds arcs
 (constraint, variable), variables, or constraints. Which element to revise
-next is picked by a pluggable ordering policy; counters attached to
-(constraint, variable) pairs let the variable- and constraint-oriented schemes
-skip revisions that cannot prune anything.
+next is picked by a pluggable ordering policy. Per constraint, the variable-
+and constraint-oriented schemes keep the scope variables that lost values
+since it was last processed, which lets them skip revisions that cannot prune
+anything.
 """
 
 from __future__ import annotations
@@ -80,16 +81,16 @@ class PropagationOutcome:
     consistent: bool
     dwo_constraint: str | None = None
     dwo_variable: str | None = None
-    removed: int = 0
     fruitful: frozenset[str] = frozenset()
 
 
 class RevisionQueue:
-    """Duplicate-free pending set in FIFO insertion order, plus ctr counters.
+    """Duplicate-free pending set in FIFO insertion order, plus ctr rows.
 
-    ctr maps a constraint id to its row {variable: values removed from that
-    variable's domain since the constraint was last processed}. A row holds
-    only positive entries, so a variable with no pending removals has none.
+    ctr maps a constraint id to its row: the tuple of its scope variables
+    that lost values since the constraint was last processed, first changed
+    first. A constraint with no pending removals has no row. A row may be
+    the constraint's own scope tuple, so it is replaced, never mutated.
     Only the variable and constraint schemes keep ctr; arc queues leave it
     empty. A queue has no scheme of its own: initial_queue and update_queue
     build it for the scheme of the state that will run it.
@@ -97,7 +98,7 @@ class RevisionQueue:
 
     def __init__(self):
         self._pending: dict = {}
-        self.ctr: dict[str, dict[str, int]] = {}
+        self.ctr: dict[str, tuple[str, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -115,14 +116,14 @@ class RevisionQueue:
     def elements(self) -> list:
         return list(self._pending)
 
-    def bump(self, cid: str, x: str, removed: int) -> None:
-        """Record `removed` (> 0) more values lost by x since cid was processed."""
-        row = self.ctr.setdefault(cid, {})
-        row[x] = row.get(x, 0) + removed
+    def bump(self, cid: str, x: str) -> None:
+        """Record that x lost values since cid was last processed."""
+        row = self.ctr.get(cid, ())
+        if x not in row:
+            self.ctr[cid] = row + (x,)
 
-    def ctr_of(self, cid: str, x: str) -> int:
-        row = self.ctr.get(cid)
-        return row.get(x, 0) if row else 0
+    def ctr_of(self, cid: str, x: str) -> bool:
+        return x in self.ctr.get(cid, ())
 
     def reset_ctr(self, c: Constraint) -> None:
         self.ctr.pop(c.id, None)
@@ -137,11 +138,11 @@ def needs_not_be_revised(q: RevisionQueue, c: Constraint) -> str | None:
     once: the variable exists exactly when the row has one entry.
     """
     row = q.ctr.get(c.id, ())
-    return next(iter(row)) if len(row) == 1 else None
+    return row[0] if len(row) == 1 else None
 
 
 def initial_queue(state) -> RevisionQueue:
-    """Preprocessing seeds of state.scheme: every element, every ctr counter 1."""
+    """Preprocessing seeds of state.scheme: every element, each ctr row its scope."""
     problem, scheme = state.problem, state.scheme
     q = RevisionQueue()
     for c in problem.constraints:
@@ -151,19 +152,19 @@ def initial_queue(state) -> RevisionQueue:
             continue
         if scheme == "constraint":
             q.add(c.id)
-        q.ctr[c.id] = dict.fromkeys(c.scope, 1)
+        q.ctr[c.id] = c.scope
     if scheme == "variable":
         for x in problem.variables:
             q.add(x)
     return q
 
 
-def _requeue(state, q: RevisionQueue, x: str, removed: int, skip=None) -> None:
-    """Queue what losing `removed` values of D(x) can make revisable.
+def _requeue(state, q: RevisionQueue, x: str, skip=None) -> None:
+    """Queue what losing values of D(x) can make revisable.
 
     Covers every constraint on x except `skip` (the one that removed them):
     its other arcs, x itself, or the constraint, per state.scheme. Outside
-    the arc scheme, x's ctr entries on those constraints grow by `removed`.
+    the arc scheme, x joins the ctr rows of those constraints.
     """
     scheme = state.scheme
     for c in state.problem.constraints_on[x]:
@@ -176,7 +177,7 @@ def _requeue(state, q: RevisionQueue, x: str, removed: int, skip=None) -> None:
             continue
         if scheme == "constraint":
             q.add(c.id)
-        q.bump(c.id, x, removed)
+        q.bump(c.id, x)
     if scheme == "variable":
         q.add(x)
 
@@ -184,13 +185,13 @@ def _requeue(state, q: RevisionQueue, x: str, removed: int, skip=None) -> None:
 def update_queue(state, x: str, removed: int) -> RevisionQueue:
     """Seeds of state.scheme after removing `removed` values from D(x) at a search node.
 
-    Only elements involving x are queued and only x's ctr entries are primed
-    (outside the arc scheme), set to the removal count. A zero removal count
-    leaves the previous fixpoint intact, so the queue stays empty.
+    Only elements involving x are queued and, outside the arc scheme, each
+    ctr row of x's constraints is (x,). A zero removal count leaves the
+    previous fixpoint intact, so the queue stays empty.
     """
     q = RevisionQueue()
     if removed > 0:
-        _requeue(state, q, x, removed)
+        _requeue(state, q, x)
     return q
 
 
@@ -245,12 +246,9 @@ def propagate(state, queue: RevisionQueue, update_weights: bool = True) -> Propa
     key = None if build is None else build(state)
     heaviest_first = (lambda c: -weights.get(c.id)) if policy.startswith("v_") else None
     fruitful: set[str] = set()
-    total_removed = 0
 
     def revised(c: Constraint, x: str, removed: int) -> PropagationOutcome | None:
         """Bookkeeping after c removed values of x; the outcome on a wipeout."""
-        nonlocal total_removed
-        total_removed += removed
         fruitful.add(c.id)
         if update_weights:
             weights.on_deletion(c.id, removed)
@@ -259,8 +257,8 @@ def propagate(state, queue: RevisionQueue, update_weights: bool = True) -> Propa
             if update_weights:
                 weights.on_dwo(c.id, blamed)
             stats.dwos += 1
-            return PropagationOutcome(False, c.id, x, total_removed, blamed)
-        _requeue(state, queue, x, removed, c)
+            return PropagationOutcome(False, c.id, x, blamed)
+        _requeue(state, queue, x, c)
         return None
 
     arc = scheme == "arc"
@@ -285,8 +283,8 @@ def propagate(state, queue: RevisionQueue, update_weights: bool = True) -> Propa
         else:
             cs = (problem.by_id[elem],)
         for c in cs:
-            # read lazily: revising an earlier constraint can raise this ctr
-            if by_variable and queue.ctr_of(c.id, elem) == 0:
+            # read lazily: revising an earlier constraint can add elem to this row
+            if by_variable and not queue.ctr_of(c.id, elem):
                 continue
             # read c's ctr row once: _requeue skips c, so c's own removals
             # never bump it and the redundant revision stays the same for the
@@ -303,9 +301,7 @@ def propagate(state, queue: RevisionQueue, update_weights: bool = True) -> Propa
                     if wiped := revised(c, y, removed):
                         return wiped
                     live[j] = d.current(y)
-            # c is now fully propagated: clear its pending-removal counters
+            # c is now fully propagated: clear its ctr row
             queue.reset_ctr(c)
 
-    return PropagationOutcome(
-        consistent=True, removed=total_removed, fruitful=frozenset(fruitful)
-    )
+    return PropagationOutcome(consistent=True, fruitful=frozenset(fruitful))

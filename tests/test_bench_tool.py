@@ -105,6 +105,28 @@ def test_perfbench_run_carries_its_side_commit(monkeypatch):
     assert got["metrics"] == {"wall_s": 1.0} and got["attempted"] == 3
 
 
+def test_perfbench_runs_with_an_empty_bytecode_cache(monkeypatch):
+    out = "\n".join([
+        'provenance {"seed": 1}',
+        '{"attempted": 1, "failed": 0, "correct": true, "metrics": {}}',
+    ])
+    seen = []
+
+    def fake(cmd, **kwargs):
+        prefix = kwargs["env"]["PYTHONPYCACHEPREFIX"]
+        seen.append((prefix, os.listdir(prefix), kwargs["env"].get("PATH")))
+        return bench.subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setenv("PATH", "/kept")
+    monkeypatch.setattr(bench.subprocess, "run", fake)
+    for _ in range(2):
+        bench.perfbench("tree", "abc", "w", 1, 35, 0)
+    # each run gets its own empty prefix, which is gone afterwards
+    assert [listing for _, listing, _ in seen] == [[], []]
+    assert [path for _, _, path in seen] == ["/kept", "/kept"]
+    assert not any(os.path.exists(prefix) for prefix, _, _ in seen)
+
+
 def test_against_side_is_written_to_its_own_parent_file(tmp_path, monkeypatch):
     (tmp_path / "BENCHMARK.json").write_text(json.dumps({
         "run_seconds": 35,

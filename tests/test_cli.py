@@ -1,11 +1,14 @@
+import io
 import json
 import types
+import weakref
 
 import pytest
 
 from macsolver import cli
 from macsolver.cli import main
 from macsolver.harness import COLUMNS, csv_text, read_csv
+from macsolver.heuristics import WeightStore
 from macsolver.instances import gen_langford, gen_queens
 from macsolver.model import dump_problem
 from macsolver.search import MODES, VALUE_ORDERS, solve
@@ -71,6 +74,32 @@ def test_out_of_memory_names_the_input_without_a_traceback(
     assert not (tmp_path / "rows.csv").exists()
 
 
+def test_out_of_memory_is_reported_once_the_failed_frames_are_freed(monkeypatch):
+    # the traceback of the MemoryError holds the failed command's frames, and
+    # with them what it built; reporting while they live can run out again
+    class Built:
+        pass
+
+    refs = []
+
+    def exhausted(args):
+        built = Built()
+        refs.append(weakref.ref(built))
+        raise MemoryError
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            if refs[0]() is not None:
+                raise MemoryError
+            return super().write(text)
+
+    stderr = Stderr()
+    monkeypatch.setattr(cli, "_cmd_solve", exhausted)
+    monkeypatch.setattr(cli.sys, "stderr", stderr)
+    assert main(["solve", "queens:n=300", "--mode", "decide"]) == 3
+    assert stderr.getvalue() == "error: out of memory on queens:n=300\n"
+
+
 def fake_clock(monkeypatch, *readings):
     # the CLI's clock returns the given readings, one per call
     ticks = iter(readings)
@@ -84,7 +113,11 @@ def test_solve_timeout_counts_the_time_spent_building(monkeypatch, capsys):
     def refuse(problem, cfg):
         raise AssertionError("solve ran after building used up the budget")
 
+    def unread(*args):
+        raise AssertionError("weights were built for a search that never ran")
+
     monkeypatch.setattr(cli, "solve", refuse)
+    monkeypatch.setattr(WeightStore, "__init__", unread)
     code, out, err = run(capsys, "solve", "queens:n=4", "--timeout", "1.5", "--mode", "count")
     assert code == 2, err
     assert out.splitlines() == [

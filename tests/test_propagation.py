@@ -130,7 +130,6 @@ def test_propagate_idempotent():
     state, out = run_to_fixpoint(p, "variable", "fifo")
     again = propagate(state, initial_queue(state))
     assert again.consistent
-    assert again.removed == 0
     assert again.fruitful == frozenset()
 
 
@@ -147,7 +146,6 @@ def test_wipeout_outcome_fields():
     assert not out.consistent
     assert out.dwo_constraint in ("c1", "c2")
     assert out.dwo_variable in ("x", "y")
-    assert out.removed > 0
     assert out.dwo_constraint in out.fruitful
     assert s.dwos == 1
     assert d.wiped()
@@ -180,12 +178,27 @@ def test_queue_rejects_unknown_kind():
 
 def test_ctr_bookkeeping():
     q = RevisionQueue()
-    q.bump("c", "x", 2)
-    q.bump("c", "x", 3)
-    assert q.ctr_of("c", "x") == 5
-    assert q.ctr_of("c", "y") == 0
+    q.bump("c", "x")
+    q.bump("c", "x")
+    assert q.ctr_of("c", "x") is True
+    assert q.ctr_of("c", "y") is False
+    assert q.ctr_of("d", "x") is False
     q.reset_ctr(pred("c", ("x", "y"), "ne"))
-    assert q.ctr_of("c", "x") == 0
+    assert q.ctr_of("c", "x") is False
+
+
+def test_bump_keeps_first_changed_order_and_never_alters_a_scope():
+    p = chain_problem()
+    q = initial_queue(unit_state(p, scheme="constraint", policy="c_wcon"))
+    q.reset_ctr(p.by_id["cxy"])
+    for x in ("y", "x", "y", "x"):
+        q.bump("cxy", x)
+    assert q.ctr["cxy"] == ("y", "x")
+    # cyz's row is its scope tuple: a bump replaces the row, the scope stays
+    q.bump("cyz", "y")
+    q.bump("cyz", "x")
+    assert q.ctr["cyz"] == ("y", "z", "x")
+    assert p.by_id["cyz"].scope == ("y", "z")
 
 
 def test_needs_not_be_revised():
@@ -198,11 +211,11 @@ def test_needs_not_be_revised():
     q = RevisionQueue()
     # no removals anywhere: no revision is provably redundant
     assert needs_not_be_revised(q, c) is None
-    q.bump("c", "x", 1)
+    q.bump("c", "x")
     # x is the only variable with pending removals: x needs no revision,
     # and only x, so the others do
     assert needs_not_be_revised(q, c) == "x"
-    q.bump("c", "y", 1)
+    q.bump("c", "y")
     # another variable has removals too, x must be revised again
     assert needs_not_be_revised(q, c) is None
 
@@ -223,7 +236,7 @@ def test_requeue_leaves_the_skipped_constraints_ctr_alone(scheme, make):
             state = unit_state(p, scheme=scheme, policy=POLICIES_BY_SCHEME[scheme][0])
             q = initial_queue(state)
             before = {y: q.ctr_of(c.id, y) for y in c.scope}
-            _requeue(state, q, x, 2, skip=c)
+            _requeue(state, q, x, skip=c)
             assert {y: q.ctr_of(c.id, y) for y in c.scope} == before, (c.id, x)
 
 
@@ -348,7 +361,9 @@ def test_initial_queue_seeds_everything():
     qc = initial_queue(unit_state(p, scheme="constraint", policy="c_wcon"))
     assert qc.elements() == ["cxy", "cyz"]
     for q in (qv, qc):
-        assert all(q.ctr_of(c.id, x) == 1 for c in p.constraints for x in c.scope)
+        assert all(q.ctr_of(c.id, x) for c in p.constraints for x in c.scope)
+        # each row is the constraint's own scope tuple: seeding builds no row
+        assert all(q.ctr[c.id] is c.scope for c in p.constraints)
 
 
 def test_update_queue_seeds_touched_cone():
@@ -362,9 +377,9 @@ def test_update_queue_seeds_touched_cone():
     qc = update_queue(unit_state(p, scheme="constraint", policy="c_wcon"), "y", 2)
     assert qc.elements() == ["cxy", "cyz"]
     for q in (qv, qc):
-        assert q.ctr_of("cxy", "y") == 2
-        assert q.ctr_of("cyz", "y") == 2
-        assert q.ctr_of("cxy", "x") == 0
+        assert q.ctr_of("cxy", "y")
+        assert q.ctr_of("cyz", "y")
+        assert not q.ctr_of("cxy", "x")
 
 
 def test_update_queue_zero_removals_is_noop():
@@ -640,17 +655,6 @@ def test_fixpoint_matches_reference(scheme, policy):
             assert out.consistent, seed
             got = {x: set(state.d.current(x)) for x in p.variables}
             assert got == {k: set(v) for k, v in want.items()}, seed
-
-
-def test_removed_totals_match_domain_shrinkage():
-    p = gen_model_d(n=8, d=5, e=12, t=0.5, seed=3)
-    state = unit_state(p)
-    d = state.d
-    before = sum(d.size(x) for x in p.variables)
-    out = propagate(state, initial_queue(state))
-    after = sum(d.size(x) for x in p.variables)
-    if out.consistent:
-        assert before - after == out.removed
 
 
 @pytest.mark.parametrize("scheme, policy", ALL_COMBOS)

@@ -52,9 +52,14 @@ def perfbench(
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
-    done = subprocess.run(
-        cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
-    )
+    # perfbench writes no bytecode, but would read a tree's __pycache__ (a
+    # test run leaves one in the checkout, an extracted tree has none): an
+    # empty cache prefix makes both sides compile every module from source
+    with tempfile.TemporaryDirectory(prefix="macsolver-pycache-") as cache:
+        done = subprocess.run(
+            cmd, cwd=tree, env=dict(os.environ, PYTHONPYCACHEPREFIX=cache),
+            capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+        )
     lines = done.stdout.splitlines()
     if done.returncode != 0 or not lines or not lines[0].startswith("provenance "):
         raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{done.stderr}")
