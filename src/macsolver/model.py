@@ -211,22 +211,23 @@ def seek_support(c: Constraint, i: int, a: int, row: list, stats) -> bool:
 
 
 class DomainStore:
-    """Current domains with O(1) removal and exact trail-based restoration.
+    """Current domains with exact trail-based restoration.
 
-    Each domain is kept as an array where live values occupy a prefix; removal
-    swaps the value to the tail and shrinks the prefix. The trail records
-    (variable, value, index) so restores are bit-exact, order included.
+    Each domain is kept as an array whose live values occupy a prefix;
+    removal finds the value by scanning that prefix, swaps it to the
+    prefix's end and shrinks the prefix. The trail records
+    (variable, index) per removal: undone most recent first, the removed
+    value sits just past the live prefix, so one swap restores the array
+    bit-exactly, order included. `remove` and `contains` scan at most |D(x)|
+    entries, which keeps no per-value map beside the arrays.
     """
 
     def __init__(self, problem: Problem):
         self._values: dict[str, list[int]] = {
             x: list(problem.domains[x]) for x in problem.variables
         }
-        self._pos: dict[str, dict[int, int]] = {
-            x: {v: i for i, v in enumerate(vals)} for x, vals in self._values.items()
-        }
         self._size: dict[str, int] = {x: len(problem.domains[x]) for x in problem.variables}
-        self._trail: list[tuple[str, int, int]] = []
+        self._trail: list[tuple[str, int]] = []
 
     def size(self, x: str) -> int:
         return self._size[x]
@@ -236,23 +237,19 @@ class DomainStore:
         return self._values[x][: self._size[x]]
 
     def contains(self, x: str, value: int) -> bool:
-        i = self._pos[x].get(value)
-        return i is not None and i < self._size[x]
+        return value in self._values[x][: self._size[x]]
 
     def remove(self, x: str, value: int) -> None:
-        pos = self._pos[x]
         vals = self._values[x]
-        i = pos[value]
         last = self._size[x] - 1
-        if i > last:
-            raise ValueError(f"{value} already removed from D({x})")
-        moved = vals[last]
-        vals[i] = moved
+        try:
+            i = vals.index(value, 0, last + 1)
+        except ValueError:
+            raise ValueError(f"{value} not in current D({x})") from None
+        vals[i] = vals[last]
         vals[last] = value
-        pos[moved] = i
-        pos[value] = last
         self._size[x] = last
-        self._trail.append((x, value, i))
+        self._trail.append((x, i))
 
     def assign(self, x: str, value: int) -> int:
         """Remove every other live value of x; returns the removal count."""
@@ -273,15 +270,10 @@ class DomainStore:
         """Undo every removal recorded after `mark`, most recent first."""
         trail = self._trail
         while len(trail) > mark:
-            x, value, i = trail.pop()
+            x, i = trail.pop()
             vals = self._values[x]
-            pos = self._pos[x]
             last = self._size[x]
-            moved = vals[i]
-            vals[last] = moved
-            vals[i] = value
-            pos[moved] = last
-            pos[value] = i
+            vals[i], vals[last] = vals[last], vals[i]
             self._size[x] = last + 1
 
     def wiped(self) -> bool:

@@ -195,3 +195,37 @@ def test_against_block_holds_calls_differ_per_workload(tmp_path, monkeypatch):
     assert mine["against"]["calls_differ"] == {
         "w": {"propagation.revise.calls": [10, 11]}, "v": {},
     }
+
+
+def test_every_run_records_the_grid_check_per_hash_seed(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 35,
+        "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}],
+    }))
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench, "git", lambda *a: "" if a[0] == "status" else "abc")
+    monkeypatch.setattr(bench, "perfbench", lambda *a: run(1.0, 1.0))
+    seen = []
+
+    def fake(cmd, cwd, env, **kwargs):
+        seed = env["PYTHONHASHSEED"]
+        seen.append((cmd[1:], cwd, env["PYTHONPATH"], seed))
+        if seed == "1":
+            out = "grid drift: queens/first\n1560 rows, 1 of 15 digests differ\n"
+            return bench.subprocess.CompletedProcess(cmd, 1, stdout=out, stderr="")
+        out = "1560 rows, 0 of 15 digests differ\n"
+        return bench.subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", fake)
+    assert bench.main(["pr9"]) == 0
+    check = (["tests/grid.py", "--check"], str(tmp_path), "src")
+    assert seen == [check + (seed,) for seed in ("0", "1", "7")]
+    doc = json.loads((tmp_path / "BENCH_pr9.json").read_text())
+    # the failing seed is recorded, and the perf runs still ran
+    assert doc["identity"] == {
+        "0": {"line": "1560 rows, 0 of 15 digests differ", "exit": 0},
+        "1": {"line": "1560 rows, 1 of 15 digests differ", "exit": 1},
+        "7": {"line": "1560 rows, 0 of 15 digests differ", "exit": 0},
+    }
+    assert doc["workloads"]["w"]["end_to_end"]["wall_s"]["median"] == 1.0

@@ -4,6 +4,7 @@ import json
 import operator
 import pickle
 import random
+import tracemalloc
 from dataclasses import fields, replace
 
 import pytest
@@ -349,6 +350,30 @@ def test_domain_store_basics():
     assert d.wiped()
     with pytest.raises(ValueError):
         d.remove("x", 2)  # already gone
+    # a value never in the domain reads as absent and fails as assign does
+    assert not d.contains("y", 9)
+    with pytest.raises(ValueError, match=r"^9 not in current D\(y\)$"):
+        d.remove("y", 9)
+    assert d.current("y") == [1, 2, 3]
+
+
+def test_domain_store_memory_is_linear_in_the_domains():
+    # no per-value map: 300 domains of 300 values are 300 arrays of 300 slots
+    # (about 0.76 MB), where a {value: position} dict per domain adds 3 MB
+    values = tuple(range(300))
+    variables = tuple(f"v{i}" for i in range(300))
+    p = Problem(
+        name="wide", variables=variables, domains=dict.fromkeys(variables, values),
+        constraints=(),
+    )
+    tracemalloc.start()
+    try:
+        d = DomainStore(p)
+        traced, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.size("v0") == 300
+    assert traced < 1.5e6
 
 
 def test_assign_returns_removed_count():

@@ -17,6 +17,11 @@ traced count that differs between the two traced runs (see ``calls_differ``):
 empty on every workload for a change that keeps the solver's work
 bit-identical.
 
+Before the perf runs it runs ``tests/grid.py --check`` in this checkout under
+``PYTHONHASHSEED`` 0, 1 and 7 and records, per seed, the last stdout line and
+the exit code in LABEL's ``identity`` block: the bit-identity record of the
+solver's counters. A failing seed is recorded and does not stop the perf runs.
+
 Each file holds, per workload: every end-to-end metric's median, quartiles
 and runs; ``attempted`` per run (case runs, which ``peak_rss_mb`` and
 ``setup_s`` grow with); the traced run's per-layer metrics and ``compare``
@@ -42,6 +47,8 @@ PAIRS = 10
 # traced counters of solver events that a pure speed-up leaves unchanged,
 # besides every ".calls" metric
 EVENT_COUNTS = ("revisions", "dwos", "search.restarts")
+# hash seeds of the grid check: set and dict order must not move a counter
+IDENTITY_SEEDS = (0, 1, 7)
 
 
 def perfbench(
@@ -74,6 +81,24 @@ def perfbench(
         "correct": result["correct"],
         "metrics": {k: m["value"] for k, m in result["metrics"].items()},
     }
+
+
+def identity(tree: str) -> dict:
+    """`tests/grid.py --check` in `tree` per hash seed: its last stdout line and exit code."""
+    out = {}
+    for seed in IDENTITY_SEEDS:
+        env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=str(seed))
+        try:
+            done = subprocess.run(
+                [sys.executable, "tests/grid.py", "--check"], cwd=tree, env=env,
+                capture_output=True, text=True, timeout=RUN_TIMEOUT_S,
+            )
+            lines = done.stdout.splitlines()
+            out[str(seed)] = {"line": lines[-1] if lines else "", "exit": done.returncode}
+        except subprocess.TimeoutExpired:
+            out[str(seed)] = {"line": f"timed out after {RUN_TIMEOUT_S} s", "exit": None}
+        print(f"grid check, hash seed {seed}: {out[str(seed)]}", file=sys.stderr)
+    return out
 
 
 def summary(values: list[float]) -> dict:
@@ -194,6 +219,7 @@ def main(argv=None) -> int:
     head = git("rev-parse", "HEAD")
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     sides = [(args.label, ROOT, head + (" plus uncommitted changes" if dirty else ""))]
+    grid = identity(ROOT)
     with tempfile.TemporaryDirectory(prefix="macsolver-bench-") as tmp:
         if args.against:
             commit = git("rev-parse", "--verify", args.against + "^{commit}")
@@ -219,6 +245,8 @@ def main(argv=None) -> int:
                 w: workload_record(runs[label][w], traced[label][w]) for w in names
             },
         }
+        if label == args.label:
+            doc["identity"] = grid
         if label == args.label and args.against:
             other, _, other_commit = sides[1]
             doc["against"] = {
